@@ -245,9 +245,10 @@ BENCHMARK(BM_SnapshotUnderIngest)
     ->Threads(8)
     ->UseRealTime();
 
-void BM_FpaPredict(benchmark::State& state) {
-  const Trace& trace = hp();
-  auto fpa = make_fpa(trace);
+/// Predicts over the whole trace, round-robin, from a model that has
+/// ingested all of it.
+void run_fpa_predict(benchmark::State& state, const Trace& trace,
+                     FpaPredictor& fpa) {
   for (const auto& r : trace.records) fpa.observe(r);
   fpa.flush();  // ingest barrier; no-op for synchronous backends
   std::size_t i = 0;
@@ -259,7 +260,26 @@ void BM_FpaPredict(benchmark::State& state) {
     ++i;
   }
 }
+
+void BM_FpaPredict(benchmark::State& state) {
+  const Trace& trace = hp();
+  auto fpa = make_fpa(trace);
+  run_fpa_predict(state, trace, fpa);
+}
 BENCHMARK(BM_FpaPredict);
+
+/// FPA over "sharded" with 4 shards whatever FARMER_MINER says: the
+/// multi-shard reference-query path (snapshot merge plus fused candidate
+/// scoring) that online serving runs.
+void BM_FpaPredictSharded(benchmark::State& state) {
+  const Trace& trace = hp();
+  MinerOptions opts;
+  opts.shards = 4;
+  FpaPredictor fpa(
+      make_miner("sharded", fpa_config(trace), trace.dict, opts));
+  run_fpa_predict(state, trace, fpa);
+}
+BENCHMARK(BM_FpaPredictSharded);
 
 void BM_NexusObserve(benchmark::State& state) {
   const Trace& trace = hp();

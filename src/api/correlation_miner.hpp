@@ -13,7 +13,10 @@
 // `CorrelatorView`: backends whose lists are stable between `observe()`
 // calls hand out a zero-copy span, backends that merge on demand (sharded)
 // hand out an owning snapshot — either way the caller never observes a
-// Correlator List mid-resort.
+// Correlator List mid-resort. The per-candidate evaluation queries FPA
+// re-checks a list with also come fused (`score_candidates()`), so a
+// prediction costs one call per candidate batch instead of four per
+// candidate.
 #pragma once
 
 #include <cstdint>
@@ -201,6 +204,15 @@ class CorrelatorView {
   bool owns_ = false;
 };
 
+/// The reference-query answers for one candidate successor of `src` (see
+/// CorrelationMiner::score_candidates).
+struct CandidateScore {
+  std::uint64_t access_count = 0;    ///< N_c
+  double access_frequency = 0.0;     ///< F(src, c)
+  double semantic_similarity = 0.0;  ///< sim(src, c)
+  double correlation_degree = 0.0;   ///< R(src, c)
+};
+
 /// Abstract producer of Correlator Lists.
 ///
 /// Thread-safety contract: the *interface* is single-threaded by default —
@@ -279,6 +291,28 @@ class CorrelationMiner {
   /// contract as snapshot().
   [[nodiscard]] virtual double access_frequency(FileId pred,
                                                 FileId succ) const = 0;
+
+  /// The four reference queries FPA asks of every Correlator-List
+  /// candidate, in one call: out[i] receives access_count(cands[i].file),
+  /// access_frequency(src, ·), semantic_similarity(src, ·) and
+  /// correlation_degree(src, ·). `out` must hold at least cands.size()
+  /// entries; only the first cands.size() are written. Every override
+  /// returns values bit-identical to the four single calls under the same
+  /// state. The default is that loop over the single-query virtuals, so
+  /// decorators and remote backends stay correct without overriding; the
+  /// in-process backends override it to look `src` up once per shard
+  /// instead of once per (candidate, query, shard), and "concurrent"
+  /// answers all of it from one published epoch. A subclass that changes
+  /// one of the single queries must override this as well (the "nexus"
+  /// backend does). Same thread-safety contract as snapshot().
+  virtual void score_candidates(FileId src, std::span<const Correlator> cands,
+                                std::span<CandidateScore> out) const {
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      const FileId c = cands[i].file;
+      out[i] = {access_count(c), access_frequency(src, c),
+                semantic_similarity(src, c), correlation_degree(src, c)};
+    }
+  }
 
   /// Counter snapshot; see the MinerStats field contract for which fields
   /// are meaningful per backend class. On "concurrent" this is safe from

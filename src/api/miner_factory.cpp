@@ -32,6 +32,13 @@ class NexusMiner final : public Farmer {
   [[nodiscard]] double semantic_similarity(FileId, FileId) const override {
     return 0.0;
   }
+  // ...in the fused queries too. R needs no fix-up: p = 0 weights sim out.
+  void score_candidates(FileId src, std::span<const Correlator> cands,
+                        std::span<CandidateScore> out) const override {
+    Farmer::score_candidates(src, cands, out);
+    for (std::size_t i = 0; i < cands.size(); ++i)
+      out[i].semantic_similarity = 0.0;
+  }
   [[nodiscard]] const char* name() const noexcept override { return "nexus"; }
 
  private:

@@ -114,6 +114,9 @@ class MinerRouter final : public CorrelationMiner {
   [[nodiscard]] std::uint64_t access_count(FileId f) const override;
   [[nodiscard]] double access_frequency(FileId pred,
                                         FileId succ) const override;
+  // score_candidates keeps the default loop: access_count(c) routes by the
+  // candidate's tenant, the pair queries by src's, so no one child can
+  // answer a whole batch.
 
   /// Merged stats (see the MinerStats field contract): scalar counters are
   /// summed over children, `epoch` is the max child epoch, `shard_epochs`

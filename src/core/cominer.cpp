@@ -7,7 +7,7 @@ double CoMiner::correlation_degree(FileId pred, const Signature& pred_sig,
                                    const Signature& succ_sig) const {
   const double sim = similarity(pred_sig, succ_sig);
   const double freq = graph_.access_frequency(pred, succ);
-  return cfg_.p * sim + (1.0 - cfg_.p) * freq;
+  return degree_of(sim, freq);
 }
 
 double CoMiner::evaluate_pair(FileId pred, const Signature& pred_sig,

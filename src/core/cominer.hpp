@@ -51,6 +51,13 @@ class CoMiner {
   double evaluate_pair(FileId pred, const Signature& pred_sig, FileId succ,
                        const Signature& succ_sig);
 
+  /// Function 2 from its two factors. The single place R is assembled, so
+  /// every evaluation path (per-pair and the fused candidate scoring in
+  /// Farmer::accumulate_scores) rounds identically.
+  [[nodiscard]] double degree_of(double sim, double freq) const noexcept {
+    return cfg_.p * sim + (1.0 - cfg_.p) * freq;
+  }
+
   /// Pure evaluation without list maintenance (analysis/tests).
   [[nodiscard]] double correlation_degree(FileId pred,
                                           const Signature& pred_sig,

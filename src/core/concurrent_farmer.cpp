@@ -424,6 +424,13 @@ double ConcurrentFarmer::access_frequency(FileId pred, FileId succ) const {
   return ShardedFarmer::merged_access_frequency(t->shards, pred, succ);
 }
 
+void ConcurrentFarmer::score_candidates(FileId src,
+                                        std::span<const Correlator> cands,
+                                        std::span<CandidateScore> out) const {
+  const auto t = table();
+  ShardedFarmer::merged_score_candidates(t->shards, src, cands, out);
+}
+
 void ConcurrentFarmer::save(const std::string& dir) {
   flush();
   // After flush() the published table covers every accepted record, and it

@@ -158,6 +158,11 @@ class ConcurrentFarmer final : public CorrelationMiner {
   [[nodiscard]] std::uint64_t access_count(FileId f) const override;
   [[nodiscard]] double access_frequency(FileId pred,
                                         FileId succ) const override;
+  /// Fused reference queries from one table acquire: every score comes from
+  /// the same published epoch (the single queries each load the table, so
+  /// a publish may land between them).
+  void score_candidates(FileId src, std::span<const Correlator> cands,
+                        std::span<CandidateScore> out) const override;
 
   /// Published sharded stats plus `epoch`, `pending`, per-shard
   /// `shard_epochs`, the cache hit/miss counters and the COW publish

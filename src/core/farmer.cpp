@@ -188,6 +188,42 @@ double Farmer::correlation_degree(FileId a, FileId b) const {
   return miner_.correlation_degree(a, sa->sig, b, sb->sig);
 }
 
+void Farmer::score_candidates(FileId src, std::span<const Correlator> cands,
+                              std::span<CandidateScore> out) const {
+  const std::span<CandidateScore> scores = out.first(cands.size());
+  std::fill(scores.begin(), scores.end(), CandidateScore{});
+  finalize_scores(scores, accumulate_scores(src, cands, scores));
+}
+
+std::uint64_t Farmer::accumulate_scores(
+    FileId src, std::span<const Correlator> cands,
+    std::span<CandidateScore> acc) const noexcept {
+  const auto& succs = graph_.successors(src);
+  const std::uint64_t n_src = graph_.access_count(src);
+  const FileState* ss = state_of(src);
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const FileId c = cands[i].file;
+    CandidateScore& a = acc[i];
+    const double nab = CorrelationGraph::edge_weight_in(succs, c);
+    a.access_count += graph_.access_count(c);
+    a.access_frequency += nab;
+    // Both zero without semantic state on either side — exactly what
+    // semantic_similarity() and correlation_degree() return then.
+    double sim = 0.0;
+    double degree = 0.0;
+    if (const FileState* cs = ss ? state_of(c) : nullptr) {
+      sim = similarity(ss->sig, cs->sig);
+      // graph_.access_frequency(src, c), from the already-fetched node.
+      const double freq =
+          n_src == 0 ? 0.0 : nab / static_cast<double>(n_src);
+      degree = miner_.degree_of(sim, freq);
+    }
+    a.semantic_similarity = std::max(a.semantic_similarity, sim);
+    a.correlation_degree = std::max(a.correlation_degree, degree);
+  }
+  return n_src;
+}
+
 std::size_t Farmer::footprint_bytes() const noexcept {
   const std::size_t cached = footprint_cache_.load(std::memory_order_relaxed);
   if (cached != kFootprintDirty) return cached;

@@ -108,6 +108,36 @@ class Farmer : public CorrelationMiner {
     return graph_.access_frequency(pred, succ);
   }
 
+  /// Single-shard fused reference queries: one accumulate_scores pass plus
+  /// finalize_scores — bit-identical to the four single queries.
+  void score_candidates(FileId src, std::span<const Correlator> cands,
+                        std::span<CandidateScore> out) const override;
+
+  /// This shard's contribution to a fused score_candidates over a shard
+  /// set, folded into `acc` (which the caller zeroes before the first
+  /// shard) with the cross-shard merge rules: N_c and N_{src,c} are summed
+  /// — `acc[i].access_frequency` holds the raw N_{src,c} sum until
+  /// finalize_scores divides it — while sim and this shard's R(src, c) are
+  /// max-folded. `src`'s successor set, N_src and signature are fetched
+  /// once; each candidate costs one node lookup, one edge scan, one state
+  /// lookup and one similarity(). Every value is computed with exactly the
+  /// arithmetic of the single queries, so folding shards in shard order
+  /// reproduces the ShardedFarmer::merged_* results bit for bit. Returns
+  /// this shard's N_src, which the caller sums into the frequency
+  /// denominator.
+  std::uint64_t accumulate_scores(FileId src,
+                                  std::span<const Correlator> cands,
+                                  std::span<CandidateScore> acc) const noexcept;
+
+  /// Completes accumulated scores: F = sum N_{src,c} / sum N_src, 0 when
+  /// the denominator is 0.
+  static void finalize_scores(std::span<CandidateScore> acc,
+                              std::uint64_t n_src) noexcept {
+    for (CandidateScore& a : acc)
+      a.access_frequency =
+          n_src == 0 ? 0.0 : a.access_frequency / static_cast<double>(n_src);
+  }
+
   [[nodiscard]] const CorrelationGraph& graph() const noexcept {
     return graph_;
   }

@@ -80,6 +80,12 @@ class ShardedFarmer final : public CorrelationMiner {
   [[nodiscard]] double access_frequency(FileId pred,
                                         FileId succ) const override;
 
+  /// Fused reference queries: one visit per shard (merged_score_candidates).
+  void score_candidates(FileId src, std::span<const Correlator> cands,
+                        std::span<CandidateScore> out) const override {
+    merged_score_candidates(shards_, src, cands, out);
+  }
+
   [[nodiscard]] MinerStats stats() const override;
   [[nodiscard]] const char* name() const noexcept override {
     return "sharded";
@@ -147,6 +153,8 @@ class ShardedFarmer final : public CorrelationMiner {
   /// shard lists remotely (the "cluster" client, net/cluster_miner.*) run
   /// the exact same arithmetic on the exact same input order — which is
   /// what keeps cluster queries byte-identical to sharded ones.
+  /// The deduplication runs in place (the kept prefix never overtakes the
+  /// read position), so the merge allocates nothing beyond `merged`.
   [[nodiscard]] static std::vector<Correlator> merge_concatenated(
       std::vector<Correlator> merged, std::size_t capacity) {
     std::sort(merged.begin(), merged.end(),
@@ -155,26 +163,32 @@ class ShardedFarmer final : public CorrelationMiner {
                 return a.file < b.file;
               });
     // Deduplicate successors: the strongest shard wins.
-    std::vector<Correlator> out;
-    for (const Correlator& c : merged) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      const Correlator c = merged[i];
       const bool seen = std::any_of(
-          out.begin(), out.end(),
+          merged.begin(), merged.begin() + static_cast<std::ptrdiff_t>(kept),
           [&](const Correlator& o) { return o.file == c.file; });
-      if (!seen) out.push_back(c);
-      if (out.size() >= capacity) break;
+      if (!seen) merged[kept++] = c;
+      if (kept >= capacity) break;
     }
-    return out;
+    merged.resize(kept);
+    return merged;
   }
 
-  /// Merged Correlator List: concatenate per-shard lists in shard order,
-  /// then apply merge_concatenated.
+  /// Merged Correlator List: concatenate per-shard lists in shard order
+  /// into a buffer sized up front, then apply merge_concatenated.
   template <typename ShardRange>
   [[nodiscard]] static std::vector<Correlator> merged_correlators(
       const ShardRange& shards, FileId f, std::size_t capacity) {
+    std::size_t total = 0;
+    for (const auto& shard : shards) total += shard->correlator_list(f).size();
     std::vector<Correlator> merged;
-    for (const auto& shard : shards)
-      for (const Correlator& c : shard->correlator_list(f))
-        merged.push_back(c);
+    merged.reserve(total);
+    for (const auto& shard : shards) {
+      const auto& list = shard->correlator_list(f);
+      merged.insert(merged.end(), list.begin(), list.end());
+    }
     return merge_concatenated(std::move(merged), capacity);
   }
 
@@ -217,6 +231,23 @@ class ShardedFarmer final : public CorrelationMiner {
       na += shard->graph().access_count(pred);
     }
     return na == 0 ? 0.0 : nab / static_cast<double>(na);
+  }
+
+  /// Fused FPA reference queries over a shard set: every shard is visited
+  /// once (Farmer::accumulate_scores) and the results fold in shard order
+  /// with the rules above — sums for N_c and for sum N_ab / sum N_a, max for
+  /// sim and for the per-shard R — so out[i] is bit-identical to calling
+  /// the four merged_* queries for cands[i].
+  template <typename ShardRange>
+  static void merged_score_candidates(const ShardRange& shards, FileId src,
+                                      std::span<const Correlator> cands,
+                                      std::span<CandidateScore> out) {
+    const std::span<CandidateScore> scores = out.first(cands.size());
+    std::fill(scores.begin(), scores.end(), CandidateScore{});
+    std::uint64_t n_src = 0;
+    for (const auto& shard : shards)
+      n_src += shard->accumulate_scores(src, cands, scores);
+    Farmer::finalize_scores(scores, n_src);
   }
 
   /// Sums the four mining counters over shards; shards/epoch/pending are

@@ -86,6 +86,8 @@ class ClusterMiner final : public CorrelationMiner {
   [[nodiscard]] std::uint64_t access_count(FileId f) const override;
   [[nodiscard]] double access_frequency(FileId pred,
                                         FileId succ) const override;
+  // score_candidates keeps the default loop: fusing it would need a batched
+  // wire op the shard protocol does not have.
 
   [[nodiscard]] MinerStats stats() const override;
   [[nodiscard]] std::size_t footprint_bytes() const override;

@@ -130,11 +130,19 @@ void write_framed_atomic(const std::string& path, std::uint32_t magic,
     std::remove(tmp.c_str());
     throw;
   }
-  std::fflush(f);
+  // A failed flush, fsync or close means the tmp may not hold the bytes:
+  // renaming it over the checkpoint would replace good state with a torn
+  // file. Each step runs regardless, so the FILE is always closed.
+  bool durable = std::fflush(f) == 0;
 #if defined(__unix__) || defined(__APPLE__)
-  ::fsync(::fileno(f));
+  durable = ::fsync(::fileno(f)) == 0 && durable;
 #endif
-  std::fclose(f);
+  durable = std::fclose(f) == 0 && durable;
+  if (!durable) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("checkpoint: flush/fsync/close failed for " +
+                             tmp);
+  }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     throw std::runtime_error("checkpoint: rename failed for " + path);

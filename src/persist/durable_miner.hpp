@@ -56,6 +56,10 @@ class DurableMiner final : public CorrelationMiner {
                                         FileId succ) const override {
     return inner_->access_frequency(pred, succ);
   }
+  void score_candidates(FileId src, std::span<const Correlator> cands,
+                        std::span<CandidateScore> out) const override {
+    inner_->score_candidates(src, cands, out);
+  }
   [[nodiscard]] MinerStats stats() const override { return inner_->stats(); }
   [[nodiscard]] std::size_t footprint_bytes() const override {
     return inner_->footprint_bytes();

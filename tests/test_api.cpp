@@ -939,5 +939,112 @@ TEST(ClusterDifferential, SaveIsLoadableBySharded) {
   std::filesystem::remove_all(dir);
 }
 
+// ------------------------------------------------------ score_candidates --
+
+/// Asserts score_candidates(src, cands) equals the four single queries for
+/// every candidate, bit for bit, and leaves `out` past cands.size() alone.
+void expect_scores_match_single_queries(const CorrelationMiner& m, FileId src,
+                                        std::span<const Correlator> cands) {
+  constexpr double kSentinel = -7.0;
+  std::vector<CandidateScore> out(cands.size() + 1);
+  out.back().access_frequency = kSentinel;
+  m.score_candidates(src, cands, out);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(out.back().access_frequency),
+            std::bit_cast<std::uint64_t>(kSentinel))
+      << m.name() << ": wrote past cands.size()";
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    const FileId c = cands[i].file;
+    const std::string where = std::string(m.name()) + " src " +
+                              std::to_string(src.value()) + " cand " +
+                              std::to_string(c.value());
+    EXPECT_EQ(out[i].access_count, m.access_count(c)) << where;
+    EXPECT_EQ(bits(out[i].access_frequency), bits(m.access_frequency(src, c)))
+        << where;
+    EXPECT_EQ(bits(out[i].semantic_similarity),
+              bits(m.semantic_similarity(src, c)))
+        << where;
+    EXPECT_EQ(bits(out[i].correlation_degree),
+              bits(m.correlation_degree(src, c)))
+        << where;
+  }
+}
+
+// The fused reference query is an optimization, never a semantic change:
+// on every factory backend (plus a persist-decorated one) it must return
+// exactly what the four single queries return, for every listed correlator
+// of every file, for an unknown source, for candidates absent from some
+// shards, and for an empty candidate span.
+TEST(ScoreCandidates, EqualsSingleQueriesOnEveryBackend) {
+  constexpr TraceKind kKinds[] = {TraceKind::kHP, TraceKind::kINS};
+  const MultiTenantTrace mt = make_multi_tenant_trace(kKinds, 37, 0.02);
+  const FarmerConfig cfg;
+  const auto files = static_cast<std::uint32_t>(mt.trace.file_count());
+  const std::string persist = ::testing::TempDir() + "score_candidates_wal";
+  std::filesystem::remove_all(persist);
+
+  MinerOptions opts;
+  opts.shards = 3;
+  opts.cluster_shards = 3;
+  opts.router_tenants = 2;
+  opts.router_backends = "0=sharded,1=concurrent";
+  opts.router_tenant_of = mt.tenant_map();
+  struct Case {
+    std::string backend;
+    MinerOptions opts;
+  };
+  std::vector<Case> cases;
+  for (const std::string& name : registered_miners())
+    cases.push_back({name, opts});
+  MinerOptions durable = opts;
+  durable.persist_dir = persist;
+  cases.push_back({"sharded", durable});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.backend + (c.opts.persist_dir.empty() ? "" : " (durable)"));
+    const auto miner = make_miner(c.backend, cfg, mt.trace.dict, c.opts);
+    const std::span<const TraceRecord> recs(mt.trace.records);
+    constexpr std::size_t kChunk = 256;
+    for (std::size_t i = 0; i < recs.size(); i += kChunk)
+      miner->observe_batch(recs.subspan(i, std::min(kChunk, recs.size() - i)));
+    miner->flush();
+
+    // The remote backend pays a round trip per query and shard: sample it.
+    const std::uint32_t stride = c.backend == "cluster" ? 7 : 1;
+    std::size_t pairs = 0;
+    for (std::uint32_t f = 0; f < files; f += stride) {
+      const CorrelatorView list = miner->snapshot(FileId(f));
+      pairs += list.size();
+      expect_scores_match_single_queries(*miner, FileId(f), list.entries());
+    }
+    EXPECT_GT(pairs, 0u) << "no correlators mined";
+
+    // Unknown source (past the dictionary) against real candidates,
+    // itself, and a second unknown file.
+    const std::vector<Correlator> probe = {{FileId(0), 0.5f},
+                                           {FileId(files - 1), 0.5f},
+                                           {FileId(files + 9), 0.5f},
+                                           {FileId(files + 3), 0.5f}};
+    expect_scores_match_single_queries(*miner, FileId(files + 3), probe);
+    expect_scores_match_single_queries(*miner, FileId(0), probe);
+    // Empty span: nothing written, nothing read.
+    expect_scores_match_single_queries(*miner, FileId(0), {});
+    miner->score_candidates(FileId(0), {}, {});
+  }
+  std::filesystem::remove_all(persist);
+
+  // The sharded run above must actually have exercised the "no state in
+  // some shard" fold: a listed candidate one of the shards never saw.
+  ShardedFarmer sharded(cfg, mt.trace.dict, 3);
+  sharded.observe_batch(mt.trace.records);
+  std::size_t partial = 0;
+  for (std::uint32_t f = 0; f < files; ++f)
+    for (const Correlator& c : sharded.snapshot(FileId(f)))
+      for (std::size_t s = 0; s < sharded.shard_count(); ++s)
+        if (sharded.shard(s).semantic_state_identity(c.file) == nullptr)
+          ++partial;
+  EXPECT_GT(partial, 0u);
+}
+
 }  // namespace
 }  // namespace farmer

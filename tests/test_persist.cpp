@@ -26,6 +26,7 @@
 #include "api/miner_factory.hpp"
 #include "api/miner_router.hpp"
 #include "common/hash.hpp"
+#include "persist/checkpoint.hpp"
 #include "persist/persister.hpp"
 #include "trace/generator.hpp"
 
@@ -356,6 +357,25 @@ TEST(PersistReopen, ConfigMismatchThrows) {
   EXPECT_THROW(
       make_miner("farmer", other, trace().dict, persist_opts(dir.str())),
       std::runtime_error);
+}
+
+// Regression: the atomic checkpoint write ignored fflush/fsync/fclose
+// failures and renamed the tmp over the checkpoint anyway. With the tmp
+// pointed at a device that rejects every write (the buffered bytes only
+// fail at flush), the write must throw and leave no checkpoint behind.
+TEST(PersistCheckpoint, FailedFlushThrowsAndLeavesNoCheckpoint) {
+  ASSERT_TRUE(fs::exists("/dev/full")) << "test needs /dev/full";
+  TempDir dir("persist_dev_full");
+  fs::create_directories(dir.str());
+  const std::string path = dir.str() + "/CHECKPOINT.1";
+  fs::create_symlink("/dev/full", path + ".tmp");
+  const std::vector<std::string> blobs = {"shard"};
+  EXPECT_THROW(persist::write_checkpoint_file(path, 1, test_cfg(), nullptr,
+                                              blobs),
+               std::runtime_error);
+  EXPECT_FALSE(fs::exists(fs::symlink_status(path))) << "checkpoint appeared";
+  EXPECT_FALSE(fs::exists(fs::symlink_status(path + ".tmp")))
+      << "tmp not removed";
 }
 
 TEST(PersistReopen, WalOnlyDirIsBoundToItsDictionary) {

@@ -1,6 +1,7 @@
 // Tests for the predictor implementations and the replay engine.
 #include <gtest/gtest.h>
 
+#include "api/miner_factory.hpp"
 #include "prefetch/fpa.hpp"
 #include "prefetch/nexus.hpp"
 #include "prefetch/probability_graph.hpp"
@@ -8,6 +9,7 @@
 #include "prefetch/sd_graph.hpp"
 #include "prefetch/successor.hpp"
 #include "test_helpers.hpp"
+#include "trace/generator.hpp"
 
 namespace farmer {
 namespace {
@@ -300,6 +302,68 @@ TEST(Fpa, RespectsLimit) {
   PredictionList out;
   p.predict(a_rec, 2, out);
   EXPECT_LE(out.size(), 2u);
+}
+
+/// Forwards every query to a wrapped miner but keeps the default
+/// score_candidates, so FPA over it re-checks candidates through the four
+/// single queries — the reference the fused overrides must reproduce.
+class SingleQueryMiner final : public CorrelationMiner {
+ public:
+  explicit SingleQueryMiner(std::unique_ptr<CorrelationMiner> inner)
+      : inner_(std::move(inner)) {}
+  void observe(const TraceRecord& rec) override { inner_->observe(rec); }
+  [[nodiscard]] CorrelatorView snapshot(FileId f) const override {
+    return inner_->snapshot(f);
+  }
+  [[nodiscard]] double correlation_degree(FileId a, FileId b) const override {
+    return inner_->correlation_degree(a, b);
+  }
+  [[nodiscard]] double semantic_similarity(FileId a, FileId b) const override {
+    return inner_->semantic_similarity(a, b);
+  }
+  [[nodiscard]] std::uint64_t access_count(FileId f) const override {
+    return inner_->access_count(f);
+  }
+  [[nodiscard]] double access_frequency(FileId a, FileId b) const override {
+    return inner_->access_frequency(a, b);
+  }
+  [[nodiscard]] MinerStats stats() const override { return inner_->stats(); }
+  [[nodiscard]] std::size_t footprint_bytes() const override {
+    return inner_->footprint_bytes();
+  }
+  [[nodiscard]] const char* name() const noexcept override {
+    return "single-query";
+  }
+
+ private:
+  std::unique_ptr<CorrelationMiner> inner_;
+};
+
+// FPA's output may not depend on whether the backend fuses the reference
+// queries: over an HP replay, FPA on "sharded" (fused override) and FPA on
+// the same backend behind a decorator that only forwards the single queries
+// predict exactly the same files in the same order for every record.
+TEST(Fpa, FusedScoringPredictsLikeSingleQueries) {
+  const Trace t = make_paper_trace(TraceKind::kHP, 41, 0.03);
+  const FarmerConfig cfg;
+  MinerOptions opts;
+  opts.shards = 4;
+  FpaPredictor fused(make_miner("sharded", cfg, t.dict, opts));
+  FpaPredictor single(std::make_unique<SingleQueryMiner>(
+      make_miner("sharded", cfg, t.dict, opts)));
+  std::size_t predicted = 0;
+  for (std::size_t i = 0; i < t.records.size(); ++i) {
+    const TraceRecord& r = t.records[i];
+    fused.observe(r);
+    single.observe(r);
+    const PredictionList a = predict(fused, r, 4);
+    const PredictionList b = predict(single, r, 4);
+    ASSERT_EQ(a.size(), b.size()) << "record " << i;
+    for (std::size_t k = 0; k < a.size(); ++k)
+      ASSERT_EQ(a[k], b[k]) << "record " << i << " slot " << k;
+    predicted += a.size();
+  }
+  EXPECT_GT(predicted, 0u);
 }
 
 TEST(Noop, NeverPredicts) {

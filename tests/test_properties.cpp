@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <span>
 #include <thread>
 #include <tuple>
@@ -462,6 +464,69 @@ TEST(ConcurrentMinerStress, SnapshotsAreImmutableAndFlushIsIdempotent) {
   EXPECT_GE(miner.epoch(), epoch_after_half);
   EXPECT_EQ(miner.stats().requests, t.records.size());
   EXPECT_EQ(miner.stats().pending, 0u);
+}
+
+// Fused reference queries race live ingest: every reader scores the list it
+// just snapshotted. Each call answers from one published table, so every
+// value is a finite non-negative figure, and every listed candidate — seen
+// in the snapshot's table, hence in the same or a newer one — has N_c >= 1.
+// Once ingest is flushed the fused answers equal the single queries bit for
+// bit. Runs under the ThreadSanitizer tier (ConcurrentMinerStress.*).
+TEST(ConcurrentMinerStress, ScoreCandidatesDuringIngest) {
+  const Trace& t = small_hp();
+  constexpr std::size_t kProducers = 4;
+  ConcurrentFarmer miner(FarmerConfig{}, t.dict, /*shards=*/4,
+                         /*ingest_queues=*/kProducers);
+  const auto parts = testing::partition_by_process(t.records, kProducers);
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int rdr = 0; rdr < 2; ++rdr) {
+    readers.emplace_back([&, rdr] {
+      Rng rng(static_cast<std::uint64_t>(300 + rdr));
+      std::vector<CandidateScore> out;
+      while (!done.load(std::memory_order_acquire)) {
+        const FileId f(
+            static_cast<std::uint32_t>(rng.next_below(t.file_count())));
+        const CorrelatorView list = miner.snapshot(f);
+        out.assign(list.size(), CandidateScore{});
+        miner.score_candidates(f, list.entries(), out);
+        for (std::size_t i = 0; i < list.size(); ++i) {
+          EXPECT_GE(out[i].access_count, 1u) << "listed file never seen";
+          for (const double v : {out[i].access_frequency,
+                                 out[i].semantic_similarity,
+                                 out[i].correlation_degree}) {
+            EXPECT_TRUE(std::isfinite(v)) << "torn score";
+            EXPECT_GE(v, 0.0) << "torn score";
+          }
+        }
+      }
+    });
+  }
+  testing::replay_partitioned(miner, parts, /*chunk=*/32);
+  miner.flush();
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+
+  std::vector<CandidateScore> out;
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  for (std::uint32_t f = 0; f < t.file_count(); f += 5) {
+    const FileId src(f);
+    const CorrelatorView list = miner.snapshot(src);
+    out.assign(list.size(), CandidateScore{});
+    miner.score_candidates(src, list.entries(), out);
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      const FileId c = list[i].file;
+      EXPECT_EQ(out[i].access_count, miner.access_count(c));
+      EXPECT_EQ(bits(out[i].access_frequency),
+                bits(miner.access_frequency(src, c)));
+      EXPECT_EQ(bits(out[i].semantic_similarity),
+                bits(miner.semantic_similarity(src, c)));
+      EXPECT_EQ(bits(out[i].correlation_degree),
+                bits(miner.correlation_degree(src, c)));
+    }
+  }
+  EXPECT_EQ(miner.stats().requests, t.records.size());
 }
 
 // ------------------------------------------- parallel-apply stress --
