@@ -685,7 +685,7 @@ int main(int argc, char** argv) {
                         fmt_double(static_cast<double>(n) / secs, 0)});
     };
     // Chunked so the durable path sees realistic batch boundaries (group
-    // commits and inline checkpoints both land inside the stream, not once
+    // commits and checkpoint cuts both land inside the stream, not once
     // at the end).
     const auto chunked_replay = [&](CorrelationMiner& miner) {
       const auto start = std::chrono::steady_clock::now();

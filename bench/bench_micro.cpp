@@ -1,12 +1,18 @@
 // Micro-benchmarks (google-benchmark): the per-operation costs behind
 // FARMER's "reasonable overhead" claim — similarity evaluation, graph
 // updates, full pipeline ingest, predictor prediction, cache and B+tree
-// operations.
+// operations, and the two stages of a durable checkpoint (shard
+// serialization, streamed file write).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <memory>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
@@ -16,6 +22,7 @@
 #include "core/extractor.hpp"
 #include "core/farmer.hpp"
 #include "kvstore/btree.hpp"
+#include "persist/checkpoint.hpp"
 #include "vsm/similarity.hpp"
 
 namespace {
@@ -333,6 +340,53 @@ void BM_EndToEndReplay(benchmark::State& state) {
                           static_cast<std::int64_t>(trace.event_count()));
 }
 BENCHMARK(BM_EndToEndReplay)->Unit(benchmark::kMillisecond);
+
+/// A Farmer that has mined the whole HP trace: the state one checkpoint
+/// serializes per shard.
+const Farmer& populated_shard() {
+  static const std::unique_ptr<Farmer> shard = [] {
+    const Trace& trace = hp();
+    auto f = std::make_unique<Farmer>(fpa_config(trace), trace.dict);
+    f->observe_batch(trace.records);
+    return f;
+  }();
+  return *shard;
+}
+
+void BM_CheckpointSerialize(benchmark::State& state) {
+  // The cut's share of a checkpoint: serialize_shard's walk over one
+  // populated shard (what each apply lane runs at a durable cut).
+  const Farmer& shard = populated_shard();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string blob = persist::serialize_shard(shard);
+    bytes = blob.size();
+    benchmark::DoNotOptimize(blob.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_CheckpointSerialize)->Unit(benchmark::kMillisecond);
+
+void BM_CheckpointWrite(benchmark::State& state) {
+  // The background writer's share: stream the dictionary and one shard
+  // blob through the checksum into a temp directory, fsync and rename.
+  const Trace& trace = hp();
+  const std::string blob = persist::serialize_shard(populated_shard());
+  const std::string dict = persist::dictionary_bytes(trace.dict.get());
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("farmer_bench_ckpt_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "CHECKPOINT.1").string();
+  for (auto _ : state)
+    persist::write_checkpoint_file(path, 1, fpa_config(trace), dict,
+                                   std::span<const std::string>(&blob, 1));
+  std::filesystem::remove_all(dir);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(blob.size() + dict.size()));
+}
+BENCHMARK(BM_CheckpointWrite)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -88,9 +88,15 @@ Registry& registry() {
       view.reserve(miner->shard_count());
       for (std::size_t s = 0; s < miner->shard_count(); ++s)
         view.push_back(&miner->shard_mut(s));
+      // Checkpoint cuts serialize the shards on the existing apply lanes.
+      persist::ShardRunner lanes =
+          [sharded = miner.get()](
+              const std::function<void(std::size_t)>& body) {
+            sharded->run_per_shard(body);
+          };
       return std::make_unique<persist::DurableMiner>(
           std::move(miner), std::move(view), cfg, std::move(dict),
-          persist_options(opts));
+          persist_options(opts), std::move(lanes));
     };
     built_in["nexus"] = [](const FarmerConfig& cfg,
                            std::shared_ptr<const TraceDictionary> dict,

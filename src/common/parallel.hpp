@@ -132,8 +132,8 @@ class WorkerPool {
     const std::size_t did = participate(fn, n);
     std::unique_lock<std::mutex> lk(mu_);
     completed_ += did;
-    cv_done_.wait(lk, [&] { return completed_ == n_; });
-    body_ = nullptr;  // helpers that executed items have already re-locked
+    cv_done_.wait(lk, [&] { return completed_ == n_ && active_ == 0; });
+    body_ = nullptr;  // every helper that took the job has checked out
   }
 
  private:
@@ -161,13 +161,16 @@ class WorkerPool {
       // A slow wake can miss a job entirely: the other lanes drained it and
       // run() already retired the body. Nothing left to claim.
       if (fn == nullptr) continue;
+      // Checked in until counted below: run() waits for every lane that
+      // took the job, not just for every item, so `fn` cannot be retired —
+      // nor next_ reset by the next run() — while this lane still claims.
+      ++active_;
       lk.unlock();
       const std::size_t did = participate(*fn, n);
       lk.lock();
-      // run() cannot return (and retire `fn`) before every executed item
-      // has been counted here, so the dereference above never goes stale.
       completed_ += did;
-      if (completed_ == n_) cv_done_.notify_all();
+      --active_;
+      if (completed_ == n_ && active_ == 0) cv_done_.notify_all();
     }
   }
 
@@ -179,6 +182,7 @@ class WorkerPool {
   const std::function<void(std::size_t)>* body_ = nullptr;
   std::size_t n_ = 0;
   std::size_t completed_ = 0;
+  std::size_t active_ = 0;  // helpers between taking the job and checkout
   std::uint64_t generation_ = 0;
   bool stop_ = false;
   std::atomic<std::size_t> next_{0};

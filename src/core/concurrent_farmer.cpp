@@ -11,6 +11,23 @@
 
 namespace farmer {
 
+namespace {
+
+/// A checkpoint job over immutable published shard snapshots: the
+/// persister's writer thread serializes them, never the drain.
+persist::Persister::BlobSource serialize_on_writer(
+    std::vector<std::shared_ptr<const Farmer>> shards) {
+  return [shards = std::move(shards)] {
+    std::vector<std::string> blobs;
+    blobs.reserve(shards.size());
+    for (const std::shared_ptr<const Farmer>& s : shards)
+      blobs.push_back(persist::serialize_shard(*s));
+    return blobs;
+  };
+}
+
+}  // namespace
+
 ConcurrentFarmer::ConcurrentFarmer(FarmerConfig cfg,
                                    std::shared_ptr<const TraceDictionary> dict,
                                    std::size_t shards,
@@ -59,7 +76,6 @@ ConcurrentFarmer::ConcurrentFarmer(FarmerConfig cfg,
         persist::deserialize_shard(rec.shard_blobs[s], inner_->shard_mut(s));
     }
     if (!rec.tail.empty()) inner_->observe_batch(rec.tail);
-    ckpt_thread_ = std::thread([this] { checkpoint_loop(); });
   }
 
   // Publish the epoch-0 table (snapshots of the empty or recovered shards)
@@ -76,17 +92,9 @@ ConcurrentFarmer::~ConcurrentFarmer() {
     wake_cv_.notify_all();
   }
   if (drain_thread_.joinable()) drain_thread_.join();
-  // The drain's final publish may have handed the worker one last job; the
-  // worker finishes any pending job before honoring the stop flag, and the
-  // Persister destructor then syncs whatever the WAL still buffers.
-  if (ckpt_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(ckpt_mu_);
-      ckpt_stop_ = true;
-    }
-    ckpt_cv_.notify_one();
-    ckpt_thread_.join();
-  }
+  // The drain's final publish may have handed the writer one last job; the
+  // Persister destructor (persister_ is the last member, so it runs first)
+  // finishes it, then syncs whatever the WAL still buffers.
 }
 
 void ConcurrentFarmer::republish_all_shards() {
@@ -153,10 +161,12 @@ void ConcurrentFarmer::enqueue(Batch batch) {
 }
 
 void ConcurrentFarmer::observe(const TraceRecord& rec) {
+  if (persister_) persister_->check();
   enqueue(Batch{rec});
 }
 
 void ConcurrentFarmer::observe_batch(std::span<const TraceRecord> records) {
+  if (persister_) persister_->check();
   enqueue(Batch(records.begin(), records.end()));
 }
 
@@ -175,6 +185,7 @@ void ConcurrentFarmer::flush() {
     });
   }
   flush_waiters_.fetch_sub(1, std::memory_order_release);
+  if (persister_) persister_->check();
 }
 
 std::size_t ConcurrentFarmer::collect(Batch& into) {
@@ -253,43 +264,19 @@ void ConcurrentFarmer::publish_pending() {
 
 void ConcurrentFarmer::maybe_begin_checkpoint() {
   if (!persister_ || !persister_->checkpoint_due()) return;
-  // One checkpoint in flight at a time: while the worker is still writing,
-  // the WAL simply keeps growing and the next publish retries.
-  if (ckpt_busy_.load(std::memory_order_acquire)) return;
-  const std::uint64_t seq = persister_->begin_checkpoint();
-  const std::shared_ptr<const ShardTable> t = table_.load();
-  {
-    std::lock_guard<std::mutex> lk(ckpt_mu_);
-    ckpt_seq_ = seq;
-    ckpt_shards_ = t->shards;
-    ckpt_job_ready_ = true;
-    ckpt_busy_.store(true, std::memory_order_release);
+  // One checkpoint in flight at a time: while the writer is still busy, the
+  // WAL simply keeps growing and the next publish retries.
+  if (persister_->checkpoint_in_flight()) return;
+  std::uint64_t seq = 0;
+  try {
+    seq = persister_->begin_checkpoint();
+  } catch (...) {
+    return;  // latched: producers see it at their next call
   }
-  ckpt_cv_.notify_one();
-}
-
-void ConcurrentFarmer::checkpoint_loop() {
-  for (;;) {
-    std::uint64_t seq = 0;
-    std::vector<std::shared_ptr<const Farmer>> shards;
-    {
-      std::unique_lock<std::mutex> lk(ckpt_mu_);
-      ckpt_cv_.wait(lk, [&] { return ckpt_job_ready_ || ckpt_stop_; });
-      if (!ckpt_job_ready_) break;  // stop requested with no pending job
-      seq = ckpt_seq_;
-      shards = std::move(ckpt_shards_);
-      ckpt_job_ready_ = false;
-    }
-    // Serialization reads only the immutable published snapshots the job
-    // captured — the heavy part of a checkpoint never stalls the drain, the
-    // producers or the queries.
-    std::vector<std::string> blobs;
-    blobs.reserve(shards.size());
-    for (const std::shared_ptr<const Farmer>& s : shards)
-      blobs.push_back(persist::serialize_shard(*s));
-    persister_->commit_checkpoint(seq, blobs);
-    ckpt_busy_.store(false, std::memory_order_release);
-  }
+  // The heavy part of a checkpoint never stalls the drain, the producers
+  // or the queries.
+  persister_->submit_checkpoint(seq,
+                                serialize_on_writer(table_.load()->shards));
 }
 
 void ConcurrentFarmer::apply(const Batch& batch) {
@@ -297,7 +284,14 @@ void ConcurrentFarmer::apply(const Batch& batch) {
   // so the durable prefix is always a prefix of the applied history.
   // Records still queued (accepted but not yet drained) at a crash were
   // never appended — the documented loss window of this backend.
-  if (persister_) persister_->append(std::span<const TraceRecord>(batch));
+  if (persister_) {
+    try {
+      persister_->append(std::span<const TraceRecord>(batch));
+    } catch (...) {
+      // Latched by the Persister and rethrown to the producers; the drain
+      // keeps applying so queries and flush() still make progress.
+    }
+  }
   // The drain owns inner_ exclusively: no lock is needed to mutate it, and
   // readers only ever see the immutable table published by
   // publish_pending(). observe_batch is the shard-disjoint parallel apply:
@@ -476,18 +470,19 @@ void ConcurrentFarmer::load(const std::string& dir) {
 
   if (persister_) {
     // Re-base the persist directory on the loaded sequence: the WAL rotates
-    // to it and a covering checkpoint is committed synchronously, so crash
-    // recovery reproduces the loaded model plus later ingest.
+    // to it and a covering checkpoint of the just-published snapshots is
+    // written before load() returns, so crash recovery reproduces the
+    // loaded model plus later ingest.
+    persister_->wait_checkpoint();
     const std::uint64_t seq = rec.durable_records();
     persister_->rebase(seq);
-    std::vector<std::string> blobs;
-    blobs.reserve(inner_->shard_count());
-    for (std::size_t s = 0; s < inner_->shard_count(); ++s)
-      blobs.push_back(persist::serialize_shard(inner_->shard(s)));
-    persister_->commit_checkpoint(seq, blobs);
+    persister_->submit_checkpoint(seq,
+                                  serialize_on_writer(table_.load()->shards));
+    persister_->wait_checkpoint();
   }
 
   drain_thread_ = std::thread([this] { drain_loop(); });
+  if (persister_) persister_->check();
 }
 
 MinerStats ConcurrentFarmer::stats() const {

@@ -100,10 +100,13 @@ class ConcurrentFarmer final : public CorrelationMiner {
   /// recovers the persist directory into the live miner before the epoch-0
   /// publish, every drained batch is WAL-appended (on the drain thread,
   /// before it is applied, so WAL order == apply order), and checkpoints
-  /// are serialized off published COW snapshots on a background worker —
-  /// ingest never stops for a checkpoint. Records still queued but not yet
-  /// drained at a crash are lost; the durable prefix is always a prefix of
-  /// the applied history.
+  /// are serialized off published COW snapshots on the persister's
+  /// background writer — ingest never stops for a checkpoint. Records
+  /// still queued but not yet drained at a crash are lost; the durable
+  /// prefix is always a prefix of the applied history. A persistence
+  /// failure latched by the persister (WAL write or sync, checkpoint
+  /// write) is rethrown from the next observe, observe_batch, flush or
+  /// load; the drain itself never throws it.
   ///
   /// `apply_threads` sizes the inner ShardedFarmer's parallel apply: each
   /// batch the drain collects is partitioned into shard-disjoint slices and
@@ -229,15 +232,13 @@ class ConcurrentFarmer final : public CorrelationMiner {
   /// No-op when nothing is unpublished.
   void publish_pending();
   /// Drain-side checkpoint initiation: when the persister says one is due
-  /// and the worker is idle, rotate the WAL (cheap, synchronous — at this
+  /// and its writer is idle, rotate the WAL (cheap, synchronous — at this
   /// point appended == applied == published) and hand the current table's
-  /// snapshot shared_ptrs to the worker for serialization. Skipped while a
-  /// previous checkpoint is still being written — the WAL simply grows
-  /// until the worker catches up.
+  /// snapshot shared_ptrs to the writer, which serializes them and commits
+  /// the file without touching live state. Skipped while a previous
+  /// checkpoint is still being written — the WAL simply grows until the
+  /// writer catches up.
   void maybe_begin_checkpoint();
-  /// Background worker: serializes handed-off snapshots and commits the
-  /// checkpoint file; never touches live state.
-  void checkpoint_loop();
   /// Replaces the published table with fresh COW exports of every shard
   /// (construction and load()); resets the COW accounting baselines.
   void republish_all_shards();
@@ -309,17 +310,10 @@ class ConcurrentFarmer final : public CorrelationMiner {
   std::thread drain_thread_;
 
   /// Durability (null = persistence disabled). The drain thread appends to
-  /// the WAL and initiates checkpoints; the worker thread serializes and
-  /// commits them off immutable published snapshots.
+  /// the WAL and initiates checkpoints; the persister's writer thread
+  /// serializes and commits them off immutable published snapshots. Last
+  /// member, so its destructor (which finishes the writer) runs first.
   std::unique_ptr<persist::Persister> persister_;
-  std::atomic<bool> ckpt_busy_{false};
-  std::mutex ckpt_mu_;
-  std::condition_variable ckpt_cv_;
-  bool ckpt_stop_ = false;       // guarded by ckpt_mu_
-  bool ckpt_job_ready_ = false;  // guarded by ckpt_mu_
-  std::uint64_t ckpt_seq_ = 0;   // guarded by ckpt_mu_
-  std::vector<std::shared_ptr<const Farmer>> ckpt_shards_;  // guarded
-  std::thread ckpt_thread_;
 };
 
 }  // namespace farmer

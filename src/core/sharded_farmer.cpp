@@ -31,6 +31,15 @@ std::size_t ShardedFarmer::apply_thread_count() const noexcept {
   return pool_ ? pool_->thread_count() : 1;
 }
 
+void ShardedFarmer::run_per_shard(
+    const std::function<void(std::size_t)>& body) {
+  if (pool_) {
+    pool_->run(shards_.size(), body);
+  } else {
+    for (std::size_t s = 0; s < shards_.size(); ++s) body(s);
+  }
+}
+
 std::size_t ShardedFarmer::shard_of(const TraceRecord& rec) const noexcept {
   return static_cast<std::size_t>(mix64(rec.process.value())) %
          shards_.size();

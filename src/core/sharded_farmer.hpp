@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -58,6 +59,13 @@ class ShardedFarmer final : public CorrelationMiner {
 
   /// Apply threads the batch path actually uses (1 = serial).
   [[nodiscard]] std::size_t apply_thread_count() const noexcept;
+
+  /// Runs body(s) for every shard index on the apply lanes (serially
+  /// without a pool) and returns once all finished — the durable
+  /// decorator serializes shards at a checkpoint cut this way. Same
+  /// threading rule as observe_batch: call from the ingest thread, never
+  /// concurrently with it; `body` must not throw.
+  void run_per_shard(const std::function<void(std::size_t)>& body);
 
   /// Merged Correlator List across shards, sorted by degree, deduplicated
   /// (highest degree wins), capped at the configured capacity.

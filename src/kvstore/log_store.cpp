@@ -15,15 +15,18 @@ namespace farmer {
 
 namespace {
 
-// Pushes `f`'s already-flushed bytes to stable storage. No-op on platforms
-// without fdatasync/fsync; durability there degrades to the page cache.
-void fsync_file(std::FILE* f) {
+// Pushes `f`'s already-flushed bytes to stable storage; false when the
+// kernel reports a failure (the bytes may be lost, and retrying the sync
+// would not bring them back). Always true on platforms without
+// fdatasync/fsync; durability there degrades to the page cache.
+bool fsync_file(std::FILE* f) {
 #if defined(__linux__)
-  ::fdatasync(::fileno(f));
+  return ::fdatasync(::fileno(f)) == 0;
 #elif defined(__unix__) || defined(__APPLE__)
-  ::fsync(::fileno(f));
+  return ::fsync(::fileno(f)) == 0;
 #else
   (void)f;
+  return true;
 #endif
 }
 
@@ -149,7 +152,9 @@ void LogStore::append(std::uint8_t op, std::uint64_t key,
   write_buf_.append(reinterpret_cast<const char*>(&key), sizeof key);
   write_buf_.append(reinterpret_cast<const char*>(&len), sizeof len);
   write_buf_.append(value.data(), value.size());
-  std::fwrite(write_buf_.data(), 1, write_buf_.size(), file_);
+  if (std::fwrite(write_buf_.data(), 1, write_buf_.size(), file_) !=
+      write_buf_.size())
+    throw std::runtime_error("LogStore: short write to " + path_);
 }
 
 void LogStore::put(std::uint64_t key, std::string_view value) {
@@ -189,8 +194,10 @@ void LogStore::scan(
 
 void LogStore::sync() {
   if (file_ == nullptr) return;
-  std::fflush(file_);
-  if (durability_ == Durability::kFsync) fsync_file(file_);
+  if (std::fflush(file_) != 0)
+    throw std::runtime_error("LogStore: flush failed for " + path_);
+  if (durability_ == Durability::kFsync && !fsync_file(file_))
+    throw std::runtime_error("LogStore: fdatasync failed for " + path_);
 }
 
 std::size_t LogStore::compact() {
@@ -198,21 +205,30 @@ std::size_t LogStore::compact() {
   // silently discard every record.
   if (index_mode_ != IndexMode::kIndexed) return 0;
   const std::size_t reclaimed = dead_bytes_;
-  if (file_ != nullptr) std::fclose(file_);
   const std::string tmp = path_ + ".compact";
-  {
-    std::FILE* out = std::fopen(tmp.c_str(), "wb");
-    if (out == nullptr)
-      throw std::runtime_error("LogStore: cannot open " + tmp);
-    std::FILE* saved = file_;
-    file_ = out;
+  std::FILE* out = std::fopen(tmp.c_str(), "wb");
+  if (out == nullptr)
+    throw std::runtime_error("LogStore: cannot open " + tmp);
+  // append() writes through file_, so it points at the rewrite while the
+  // live records are copied; a failed copy leaves the original log intact.
+  std::FILE* live = file_;
+  file_ = out;
+  bool durable = true;
+  try {
     for (const auto& [k, v] : index_) append(kOpPut, k, v);
-    file_ = saved;
-    std::fflush(out);
-    if (durability_ == Durability::kFsync) fsync_file(out);
-    std::fclose(out);
+  } catch (const std::runtime_error&) {
+    durable = false;
   }
-  std::remove(path_.c_str());
+  file_ = live;
+  durable = std::fflush(out) == 0 && durable;
+  if (durability_ == Durability::kFsync) durable = fsync_file(out) && durable;
+  durable = std::fclose(out) == 0 && durable;
+  if (!durable) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("LogStore: cannot write " + tmp);
+  }
+  if (file_ != nullptr) std::fclose(file_);
+  file_ = nullptr;
   if (std::rename(tmp.c_str(), path_.c_str()) != 0)
     throw std::runtime_error("LogStore: compaction rename failed");
   file_ = std::fopen(path_.c_str(), "ab");

@@ -255,7 +255,9 @@ void ClusterMiner::save(const std::string& dir) {
   }
   std::filesystem::create_directories(dir);
   persist::write_checkpoint_file(dir + "/CHECKPOINT." + std::to_string(seq),
-                                 seq, cfg_, dict_.get(), blobs);
+                                 seq, cfg_,
+                                 persist::dictionary_bytes(dict_.get()),
+                                 blobs);
 }
 
 }  // namespace farmer::net

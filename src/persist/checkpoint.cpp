@@ -1,5 +1,7 @@
 #include "persist/checkpoint.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -26,6 +28,13 @@ void put_raw(std::string& out, const T& v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
+/// Overwrites the placeholder put_raw wrote at byte offset `at`.
+template <typename T>
+void patch_raw(std::string& out, std::size_t at, const T& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  std::memcpy(out.data() + at, &v, sizeof v);
+}
+
 /// Bounds-checked forward reader over a serialized blob; any overrun means
 /// the blob is torn or malformed, which surfaces as std::runtime_error.
 class Cursor {
@@ -44,11 +53,13 @@ class Cursor {
     return v;
   }
 
-  void get_bytes(char* dst, std::size_t len) {
+  /// The next `len` bytes, as a view into the underlying buffer.
+  std::string_view take(std::size_t len) {
     if (static_cast<std::size_t>(end_ - p_) < len)
       throw std::runtime_error("checkpoint blob truncated");
-    std::memcpy(dst, p_, len);
+    const std::string_view out(p_, len);
     p_ += len;
+    return out;
   }
 
   [[nodiscard]] bool done() const noexcept { return p_ == end_; }
@@ -58,27 +69,57 @@ class Cursor {
   const char* end_;
 };
 
-/// mix64 chain over arbitrary bytes, folding whole words then the tail.
-std::uint64_t checksum_bytes(std::string_view bytes) {
-  std::uint64_t h = 0x9E3779B97F4A7C15ull;
-  const char* p = bytes.data();
-  std::size_t n = bytes.size();
-  while (n >= sizeof(std::uint64_t)) {
+/// mix64 chain over a byte stream fed in arbitrary pieces: whole 8-byte
+/// words fold in as they complete, and finish() folds the zero-padded tail
+/// word and the total length — the same value as one pass over the
+/// concatenated bytes, so a streamed file checksums exactly like an
+/// assembled one.
+class Checksum {
+ public:
+  void update(std::string_view bytes) {
+    if (bytes.empty()) return;  // data() may be null
+    const char* p = bytes.data();
+    std::size_t n = bytes.size();
+    len_ += n;
+    if (pending_len_ > 0) {
+      const std::size_t take = std::min(n, sizeof pending_ - pending_len_);
+      std::memcpy(pending_ + pending_len_, p, take);
+      pending_len_ += take;
+      p += take;
+      n -= take;
+      if (pending_len_ < sizeof pending_) return;
+      fold(pending_);
+      pending_len_ = 0;
+    }
+    for (; n >= sizeof pending_; p += sizeof pending_, n -= sizeof pending_)
+      fold(p);
+    std::memcpy(pending_, p, n);
+    pending_len_ = n;
+  }
+
+  [[nodiscard]] std::uint64_t finish() const {
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, pending_, pending_len_);
+    return mix64(h_ ^ tail ^ len_);
+  }
+
+ private:
+  void fold(const char* p) {
     std::uint64_t word;
     std::memcpy(&word, p, sizeof word);
-    h = mix64(h ^ word);
-    p += sizeof word;
-    n -= sizeof word;
+    h_ = mix64(h_ ^ word);
   }
-  std::uint64_t tail = 0;
-  if (n > 0) std::memcpy(&tail, p, n);
-  return mix64(h ^ tail ^ bytes.size());
-}
 
-void put_file(std::FILE* f, const void* data, std::size_t len,
-              const std::string& path) {
-  if (len > 0 && std::fwrite(data, 1, len, f) != len)
-    throw std::runtime_error("checkpoint: short write to " + path);
+  std::uint64_t h_ = 0x9E3779B97F4A7C15ull;
+  std::uint64_t len_ = 0;
+  char pending_[sizeof(std::uint64_t)] = {};
+  std::size_t pending_len_ = 0;
+};
+
+std::uint64_t checksum_bytes(std::string_view bytes) {
+  Checksum c;
+  c.update(bytes);
+  return c.finish();
 }
 
 /// fsync the directory containing `path` so a rename inside it is durable.
@@ -88,69 +129,104 @@ void fsync_parent_dir(const std::string& path) {
       std::filesystem::path(path).parent_path();
   const std::string dir = parent.empty() ? "." : parent.string();
   const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
+  if (fd < 0)
+    throw std::runtime_error("checkpoint: cannot open directory " + dir);
+  // EINVAL: the filesystem cannot sync directories — nothing to wait for.
+  const bool synced = ::fsync(fd) == 0 || errno == EINVAL;
+  ::close(fd);
+  if (!synced)
+    throw std::runtime_error("checkpoint: directory fsync failed for " + dir);
 #else
   (void)path;
 #endif
 }
 
-/// Checkpoints embed the dictionary through the shared v3 codec
-/// (encode_dictionary) since checkpoint v2 — the legacy v2 stream codec
-/// could not represent >255-component paths.
-std::string serialize_dictionary(const TraceDictionary* dict) {
-  if (dict == nullptr) return {};
-  std::string out;
-  encode_dictionary(out, *dict);
-  return out;
-}
-
-/// Writes `[magic][version][u64 body_len][body][u64 checksum]` to `path`
-/// atomically: bytes land in `path + ".tmp"`, are flushed and fsync'd, and
-/// the tmp is renamed over `path` (with a parent-directory fsync). The
-/// shared framing behind checkpoints and the manifest.
-void write_framed_atomic(const std::string& path, std::uint32_t magic,
-                         std::uint32_t version, std::string_view body) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr)
-    throw std::runtime_error("checkpoint: cannot open " + tmp);
-  try {
-    put_file(f, &magic, sizeof magic, tmp);
-    put_file(f, &version, sizeof version, tmp);
-    const std::uint64_t body_len = body.size();
-    put_file(f, &body_len, sizeof body_len, tmp);
-    put_file(f, body.data(), body.size(), tmp);
-    const std::uint64_t csum = checksum_bytes(body);
-    put_file(f, &csum, sizeof csum, tmp);
-  } catch (...) {
-    std::fclose(f);
-    std::remove(tmp.c_str());
-    throw;
+/// One atomically published `[magic][version][u64 body_len][body]
+/// [u64 checksum]` file — the framing behind checkpoints and the manifest.
+/// The body streams into `path + ".tmp"` through put() in as many pieces
+/// as the caller likes (body_len is declared up front); commit() appends
+/// the checksum, flushes, fsyncs, closes and renames the tmp over `path`,
+/// then fsyncs the parent directory. Destroying an uncommitted file closes
+/// and removes the tmp, so a failed write never leaves a stale spare.
+class FramedFile {
+ public:
+  FramedFile(std::string path, std::uint32_t magic, std::uint32_t version,
+             std::uint64_t body_len)
+      : path_(std::move(path)), tmp_(path_ + ".tmp"), body_len_(body_len) {
+    f_ = std::fopen(tmp_.c_str(), "wb");
+    if (f_ == nullptr)
+      throw std::runtime_error("checkpoint: cannot open " + tmp_);
+    try {
+      write(&magic, sizeof magic);
+      write(&version, sizeof version);
+      write(&body_len, sizeof body_len);
+    } catch (...) {
+      std::fclose(f_);  // no destructor runs for a throwing constructor
+      std::remove(tmp_.c_str());
+      throw;
+    }
   }
-  // A failed flush, fsync or close means the tmp may not hold the bytes:
-  // renaming it over the checkpoint would replace good state with a torn
-  // file. Each step runs regardless, so the FILE is always closed.
-  bool durable = std::fflush(f) == 0;
+
+  ~FramedFile() {
+    if (f_ != nullptr) std::fclose(f_);
+    if (!committed_) std::remove(tmp_.c_str());
+  }
+
+  FramedFile(const FramedFile&) = delete;
+  FramedFile& operator=(const FramedFile&) = delete;
+
+  /// Appends body bytes (checksummed).
+  void put(std::string_view bytes) {
+    csum_.update(bytes);
+    written_ += bytes.size();
+    write(bytes.data(), bytes.size());
+  }
+
+  template <typename T>
+  void put_value(const T& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    put(std::string_view(reinterpret_cast<const char*>(&v), sizeof v));
+  }
+
+  void commit() {
+    if (written_ != body_len_)
+      throw std::logic_error("checkpoint: body length mismatch for " + tmp_);
+    const std::uint64_t csum = csum_.finish();
+    write(&csum, sizeof csum);
+    // A failed flush, fsync or close means the tmp may not hold the bytes:
+    // renaming it over the checkpoint would replace good state with a torn
+    // file. Each step runs regardless, so the FILE is always closed.
+    bool durable = std::fflush(f_) == 0;
 #if defined(__unix__) || defined(__APPLE__)
-  durable = ::fsync(::fileno(f)) == 0 && durable;
+    durable = ::fsync(::fileno(f_)) == 0 && durable;
 #endif
-  durable = std::fclose(f) == 0 && durable;
-  if (!durable) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: flush/fsync/close failed for " +
-                             tmp);
+    durable = std::fclose(f_) == 0 && durable;
+    f_ = nullptr;
+    if (!durable)
+      throw std::runtime_error("checkpoint: flush/fsync/close failed for " +
+                               tmp_);
+    if (std::rename(tmp_.c_str(), path_.c_str()) != 0)
+      throw std::runtime_error("checkpoint: rename failed for " + path_);
+    committed_ = true;
+    fsync_parent_dir(path_);
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: rename failed for " + path);
-  }
-  fsync_parent_dir(path);
-}
 
-/// Reads a file written by write_framed_atomic. Returns std::nullopt when
+ private:
+  void write(const void* data, std::size_t len) {
+    if (len > 0 && std::fwrite(data, 1, len, f_) != len)
+      throw std::runtime_error("checkpoint: short write to " + tmp_);
+  }
+
+  std::string path_;
+  std::string tmp_;
+  std::FILE* f_ = nullptr;
+  std::uint64_t body_len_;
+  std::uint64_t written_ = 0;
+  Checksum csum_;
+  bool committed_ = false;
+};
+
+/// Reads a file written through FramedFile. Returns std::nullopt when
 /// the file is absent, torn, truncated, or fails its checksum.
 std::optional<std::string> read_framed(const std::string& path,
                                        std::uint32_t want_magic,
@@ -221,12 +297,12 @@ std::string serialize_shard(const Farmer& shard) {
 
   // Per-file semantic state: logical index size, then populated entries.
   put_raw<std::uint64_t>(out, shard.state_size());
+  const std::size_t populated_at = out.size();
+  put_raw<std::uint64_t>(out, 0);  // populated count, patched below
   std::uint64_t populated = 0;
-  shard.for_each_file_state(
-      [&](FileId, const SemanticVector&, const Signature&) { ++populated; });
-  put_raw<std::uint64_t>(out, populated);
   shard.for_each_file_state([&](FileId f, const SemanticVector& vec,
                                 const Signature& sig) {
+    ++populated;
     put_raw<std::uint32_t>(out, f.value());
     put_raw<std::uint32_t>(out, vec.user.value());
     put_raw<std::uint32_t>(out, vec.process.value());
@@ -244,19 +320,20 @@ std::string serialize_shard(const Farmer& shard) {
     for (TokenId t : sig.path_sorted) put_raw<std::uint32_t>(out, t.value());
     put_raw<std::uint8_t>(out, sig.ipa_path ? 1 : 0);
   });
+  patch_raw<std::uint64_t>(out, populated_at, populated);
 
   // Correlation graph: logical node-index size, then populated nodes with
   // successor edges and Correlator Lists in stored order (edge order decides
   // eviction ties; list order is the query output).
   const CorrelationGraph& g = shard.graph();
   put_raw<std::uint64_t>(out, g.node_count());
+  const std::size_t nodes_at = out.size();
+  put_raw<std::uint64_t>(out, 0);  // populated node count, patched below
   std::uint64_t nodes = 0;
-  for (std::size_t i = 0; i < g.node_count(); ++i)
-    if (g.has_node(FileId(static_cast<std::uint32_t>(i)))) ++nodes;
-  put_raw<std::uint64_t>(out, nodes);
   for (std::size_t i = 0; i < g.node_count(); ++i) {
     const FileId f(static_cast<std::uint32_t>(i));
     if (!g.has_node(f)) continue;
+    ++nodes;
     put_raw<std::uint32_t>(out, f.value());
     put_raw<std::uint64_t>(out, g.access_count(f));
     const auto& succs = g.successors(f);
@@ -272,6 +349,7 @@ std::string serialize_shard(const Farmer& shard) {
       put_raw<float>(out, c.degree);
     }
   }
+  patch_raw<std::uint64_t>(out, nodes_at, nodes);
   return out;
 }
 
@@ -340,39 +418,52 @@ void deserialize_shard(std::string_view blob, Farmer& shard) {
     throw std::runtime_error("checkpoint shard blob has trailing bytes");
 }
 
+std::string dictionary_bytes(const TraceDictionary* dict) {
+  // Checkpoints embed the dictionary through the shared v3 codec since
+  // checkpoint v2 — the legacy v2 stream codec could not represent
+  // >255-component paths.
+  std::string out;
+  if (dict != nullptr) encode_dictionary(out, *dict);
+  return out;
+}
+
 void write_checkpoint_file(const std::string& path, std::uint64_t seq,
                            const FarmerConfig& cfg,
-                           const TraceDictionary* dict,
+                           std::string_view dict_bytes,
                            std::span<const std::string> shard_blobs) {
-  std::string body;
-  put_raw<std::uint64_t>(body, seq);
-  put_raw<std::uint64_t>(body, config_hash(cfg));
-  const std::string dict_bytes = serialize_dictionary(dict);
-  put_raw<std::uint64_t>(body, dict_bytes.size());
-  body += dict_bytes;
-  put_raw<std::uint32_t>(body, static_cast<std::uint32_t>(shard_blobs.size()));
+  std::uint64_t body_len = 3 * sizeof(std::uint64_t) + dict_bytes.size() +
+                           sizeof(std::uint32_t);
+  for (const std::string& blob : shard_blobs)
+    body_len += sizeof(std::uint64_t) + blob.size();
+  FramedFile out(path, kCheckpointMagic, kCheckpointVersion, body_len);
+  out.put_value<std::uint64_t>(seq);
+  out.put_value<std::uint64_t>(config_hash(cfg));
+  out.put_value<std::uint64_t>(dict_bytes.size());
+  out.put(dict_bytes);
+  out.put_value<std::uint32_t>(static_cast<std::uint32_t>(shard_blobs.size()));
   for (const std::string& blob : shard_blobs) {
-    put_raw<std::uint64_t>(body, blob.size());
-    body += blob;
+    out.put_value<std::uint64_t>(blob.size());
+    out.put(blob);
   }
-  write_framed_atomic(path, kCheckpointMagic, kCheckpointVersion, body);
+  out.commit();
 }
 
 void write_manifest(const std::string& dir, const FarmerConfig& cfg,
-                    const TraceDictionary* dict) {
+                    std::string_view dict_bytes) {
   const std::string path = dir + "/MANIFEST";
   std::error_code ec;
   if (std::filesystem::exists(path, ec)) return;
-  std::string body;
-  put_raw<std::uint64_t>(body, config_hash(cfg));
-  put_raw<std::uint8_t>(body, dict != nullptr ? 1 : 0);
-  put_raw<std::uint64_t>(
-      body, dict != nullptr ? checksum_bytes(serialize_dictionary(dict)) : 0);
-  write_framed_atomic(path, kManifestMagic, kManifestVersion, body);
+  FramedFile out(path, kManifestMagic, kManifestVersion,
+                 2 * sizeof(std::uint64_t) + sizeof(std::uint8_t));
+  out.put_value<std::uint64_t>(config_hash(cfg));
+  out.put_value<std::uint8_t>(dict_bytes.empty() ? 0 : 1);
+  out.put_value<std::uint64_t>(
+      dict_bytes.empty() ? 0 : checksum_bytes(dict_bytes));
+  out.commit();
 }
 
 void check_manifest(const std::string& dir, const FarmerConfig& cfg,
-                    const TraceDictionary* dict) {
+                    std::string_view dict_bytes) {
   const std::string path = dir + "/MANIFEST";
   std::error_code ec;
   if (!std::filesystem::exists(path, ec)) return;
@@ -393,8 +484,8 @@ void check_manifest(const std::string& dir, const FarmerConfig& cfg,
     throw std::runtime_error(
         "persist directory " + dir +
         " was created under a different mining configuration");
-  if (has_dict != 0 && dict != nullptr &&
-      stored_dict_hash != checksum_bytes(serialize_dictionary(dict)))
+  if (has_dict != 0 && !dict_bytes.empty() &&
+      stored_dict_hash != checksum_bytes(dict_bytes))
     throw std::runtime_error("persist directory " + dir +
                              " is bound to a different trace dictionary");
 }
@@ -407,12 +498,12 @@ void write_checkpoint_dir(const std::string& dir, std::uint64_t seq,
   blobs.reserve(shards.size());
   for (const Farmer* shard : shards) blobs.push_back(serialize_shard(*shard));
   write_checkpoint_file(dir + "/CHECKPOINT." + std::to_string(seq), seq, cfg,
-                        dict, blobs);
+                        dictionary_bytes(dict), blobs);
 }
 
 std::optional<LoadedCheckpoint> read_checkpoint_file(
     const std::string& path, const FarmerConfig& cfg,
-    const TraceDictionary* dict) {
+    std::string_view dict_bytes) {
   const std::optional<std::string> body =
       read_framed(path, kCheckpointMagic, kCheckpointVersion);
   if (!body) return std::nullopt;
@@ -427,20 +518,15 @@ std::optional<LoadedCheckpoint> read_checkpoint_file(
     throw std::runtime_error(
         "checkpoint " + path +
         " was written under a different mining configuration");
-  const auto dict_len = in.get<std::uint64_t>();
-  std::string dict_bytes(dict_len, '\0');
-  in.get_bytes(dict_bytes.data(), dict_bytes.size());
-  if (dict != nullptr && dict_len > 0 &&
-      dict_bytes != serialize_dictionary(dict))
+  const std::string_view stored_dict = in.take(in.get<std::uint64_t>());
+  if (!dict_bytes.empty() && !stored_dict.empty() &&
+      stored_dict != dict_bytes)
     throw std::runtime_error("checkpoint " + path +
                              " embeds a different trace dictionary");
   const auto shard_count = in.get<std::uint32_t>();
   out.shard_blobs.reserve(shard_count);
   for (std::uint32_t s = 0; s < shard_count; ++s) {
-    const auto blob_len = in.get<std::uint64_t>();
-    std::string blob(blob_len, '\0');
-    in.get_bytes(blob.data(), blob.size());
-    out.shard_blobs.push_back(std::move(blob));
+    out.shard_blobs.emplace_back(in.take(in.get<std::uint64_t>()));
   }
   return out;
 }

@@ -24,7 +24,11 @@
 //
 // The checksum is a mix64 chain over the body, so torn or bit-flipped
 // checkpoints are detected on load and recovery falls back to the previous
-// checkpoint (see persist::recover_dir).
+// checkpoint (see persist::recover_dir). The writer streams the frame:
+// body_len is summed up front, then the header, dictionary and shard blobs
+// go straight to the file through an incremental checksum — the body is
+// never assembled in memory, and the bytes on disk are the same as if it
+// had been.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +59,12 @@ inline constexpr std::uint32_t kManifestVersion = 2;
 /// parameters would silently corrupt query results, so a mismatch throws.
 [[nodiscard]] std::uint64_t config_hash(const FarmerConfig& cfg);
 
-/// Serializes one Farmer shard's full model state. Safe on a live shard
-/// (single-threaded contract) or on an immutable published COW snapshot —
-/// the concurrent backend checkpoints the latter without stopping ingest.
+/// Serializes one Farmer shard's full model state in one pass over it (the
+/// populated-entry and node counts are written as placeholders and patched
+/// at the end). Safe on a live shard (single-threaded contract; distinct
+/// shards may be serialized concurrently) or on an immutable published COW
+/// snapshot — the concurrent backend checkpoints the latter without
+/// stopping ingest.
 [[nodiscard]] std::string serialize_shard(const Farmer& shard);
 
 /// Restores a blob produced by serialize_shard into `shard`, which must be
@@ -65,23 +72,30 @@ inline constexpr std::uint32_t kManifestVersion = 2;
 /// truncated or malformed blobs.
 void deserialize_shard(std::string_view blob, Farmer& shard);
 
+/// The dictionary bytes checkpoints embed and the manifest hashes: the
+/// shared v3 codec (trace_io encode_dictionary), empty for no dictionary.
+/// The dictionary is immutable for a miner's lifetime, so the Persister
+/// encodes it once at open() and hands the bytes to every write below.
+[[nodiscard]] std::string dictionary_bytes(const TraceDictionary* dict);
+
 /// Writes `dir + "/MANIFEST"` atomically if it does not exist yet: the
-/// config hash plus a hash of the serialized dictionary. The manifest binds
+/// config hash plus a hash of the encoded dictionary (`dict_bytes`, empty
+/// for none). The manifest binds
 /// a persist directory to its config + dictionary from the *first* open —
 /// checkpoints carry the same binding, but a directory killed before its
 /// first checkpoint holds only WAL segments, and without the manifest a
 /// reopen under a different trace would replay foreign records into a
 /// mismatched model. A present manifest is left untouched.
 void write_manifest(const std::string& dir, const FarmerConfig& cfg,
-                    const TraceDictionary* dict);
+                    std::string_view dict_bytes);
 
-/// Validates `dir + "/MANIFEST"` against `cfg`/`dict`. An absent manifest
-/// passes (empty directory, or one populated only by save()). Throws
-/// std::runtime_error when the manifest is unreadable or records a
-/// different config hash / dictionary hash. `dict == nullptr` skips the
+/// Validates `dir + "/MANIFEST"` against `cfg`/`dict_bytes`. An absent
+/// manifest passes (empty directory, or one populated only by save()).
+/// Throws std::runtime_error when the manifest is unreadable or records a
+/// different config hash / dictionary hash. Empty `dict_bytes` skips the
 /// dictionary comparison, as does a manifest written without a dictionary.
 void check_manifest(const std::string& dir, const FarmerConfig& cfg,
-                    const TraceDictionary* dict);
+                    std::string_view dict_bytes);
 
 /// A checksum-validated checkpoint as read back from disk.
 struct LoadedCheckpoint {
@@ -89,13 +103,14 @@ struct LoadedCheckpoint {
   std::vector<std::string> shard_blobs;  ///< one blob per shard, in order
 };
 
-/// Writes the checkpoint file at `path` atomically: the bytes land in
+/// Writes the checkpoint file at `path` atomically: the bytes stream into
 /// `path + ".tmp"`, are flushed and fsync'd, and the tmp is renamed over
-/// `path` (with a directory fsync so the rename itself is durable). Throws
-/// std::runtime_error on I/O failure.
+/// `path` (with a directory fsync so the rename itself is durable).
+/// `dict_bytes` is dictionary_bytes() of the miner's dictionary. Throws
+/// std::runtime_error on I/O failure and leaves no tmp behind.
 void write_checkpoint_file(const std::string& path, std::uint64_t seq,
                            const FarmerConfig& cfg,
-                           const TraceDictionary* dict,
+                           std::string_view dict_bytes,
                            std::span<const std::string> shard_blobs);
 
 /// save()-path convenience: creates `dir` if needed, serializes the given
@@ -108,12 +123,12 @@ void write_checkpoint_dir(const std::string& dir, std::uint64_t seq,
 /// file is torn, truncated, or fails its checksum (recovery then falls back
 /// to an older checkpoint). Throws std::runtime_error when the checkpoint is
 /// *valid but incompatible* — config hash mismatch, or an embedded
-/// dictionary that differs from `dict` — because silently ignoring those
-/// would corrupt the restored model. `dict == nullptr` skips the dictionary
-/// comparison.
+/// dictionary that differs from `dict_bytes` — because silently ignoring
+/// those would corrupt the restored model. Empty `dict_bytes` skips the
+/// dictionary comparison.
 [[nodiscard]] std::optional<LoadedCheckpoint> read_checkpoint_file(
     const std::string& path, const FarmerConfig& cfg,
-    const TraceDictionary* dict);
+    std::string_view dict_bytes);
 
 }  // namespace persist
 }  // namespace farmer

@@ -48,6 +48,11 @@ std::vector<std::pair<std::uint64_t, std::string>> list_family(
 
 Recovery recover_dir(const std::string& dir, const FarmerConfig& cfg,
                      const TraceDictionary* dict) {
+  return recover_dir(dir, cfg, dictionary_bytes(dict));
+}
+
+Recovery recover_dir(const std::string& dir, const FarmerConfig& cfg,
+                     std::string_view dict_bytes) {
   Recovery out;
   std::error_code ec;
   if (!fs::exists(dir, ec)) return out;
@@ -57,13 +62,14 @@ Recovery recover_dir(const std::string& dir, const FarmerConfig& cfg,
   // never committed one holds only WAL segments — without this check a
   // reopen under a different trace would replay foreign records straight
   // into a mismatched model.
-  check_manifest(dir, cfg, dict);
+  check_manifest(dir, cfg, dict_bytes);
 
   // Newest checksum-valid checkpoint wins; torn/corrupt ones fall back to
   // older (config or dictionary mismatch throws from read_checkpoint_file).
   auto checkpoints = list_family(dir, kCheckpointPrefix);
   for (std::size_t i = checkpoints.size(); i-- > 0;) {
-    if (auto ckpt = read_checkpoint_file(checkpoints[i].second, cfg, dict)) {
+    if (auto ckpt =
+            read_checkpoint_file(checkpoints[i].second, cfg, dict_bytes)) {
       out.checkpoint_seq = ckpt->seq;
       out.shard_blobs = std::move(ckpt->shard_blobs);
       break;
@@ -107,12 +113,20 @@ Persister::Persister(Options opts) : opts_(std::move(opts)) {
 Persister::~Persister() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    sync_stop_ = true;
+    stop_ = true;
   }
+  // The writer finishes a submitted job before honoring the stop flag.
+  write_cv_.notify_one();
+  if (write_thread_.joinable()) write_thread_.join();
   sync_cv_.notify_one();
   if (sync_thread_.joinable()) sync_thread_.join();
   std::lock_guard<std::mutex> lock(mu_);
-  if (wal_) wal_->sync();
+  try {
+    if (wal_) wal_->sync();
+  } catch (...) {
+    // Nothing to report to: the records are as durable as the disk allowed,
+    // and recovery reads the valid prefix.
+  }
 }
 
 Recovery Persister::open(const FarmerConfig& cfg,
@@ -121,14 +135,24 @@ Recovery Persister::open(const FarmerConfig& cfg,
   if (opened_) throw std::logic_error("Persister::open called twice");
   opened_ = true;
   cfg_ = cfg;
-  dict_ = std::move(dict);
-  Recovery rec = recover_dir(opts_.dir, cfg_, dict_.get());
-  write_manifest(opts_.dir, cfg_, dict_.get());
+  dict_bytes_ = dictionary_bytes(dict.get());
+  Recovery rec = recover_dir(opts_.dir, cfg_, dict_bytes_);
+  write_manifest(opts_.dir, cfg_, dict_bytes_);
   appended_ = rec.durable_records();
   last_ckpt_ = appended_;
   open_segment_locked(appended_);
   sync_thread_ = std::thread(&Persister::sync_loop, this);
+  write_thread_ = std::thread(&Persister::write_loop, this);
   return rec;
+}
+
+void Persister::latch_locked() {
+  if (!error_) error_ = std::current_exception();
+}
+
+void Persister::check() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (error_) std::rethrow_exception(error_);
 }
 
 std::uint64_t Persister::append(std::span<const TraceRecord> records) {
@@ -136,12 +160,21 @@ std::uint64_t Persister::append(std::span<const TraceRecord> records) {
   std::uint64_t last;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    std::string value;
-    for (const TraceRecord& rec : records) {
-      value.clear();
-      encode_record(rec, value);
-      wal_->put(++appended_, value);
-      ++unsynced_;
+    // After a failure nothing more is logged: a record past a lost one
+    // could never be replayed, so the WAL stays a clean durable prefix.
+    if (error_) std::rethrow_exception(error_);
+    try {
+      std::string value;
+      for (const TraceRecord& rec : records) {
+        value.clear();
+        encode_record(rec, value);
+        wal_->put(appended_ + 1, value);
+        ++appended_;
+        ++unsynced_;
+      }
+    } catch (...) {
+      latch_locked();
+      throw;
     }
     if (unsynced_ >= opts_.wal_group_commit) {
       sync_goal_ = appended_;
@@ -161,7 +194,7 @@ void Persister::sync_loop() {
     std::uint64_t goal = 0;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      sync_cv_.wait(lk, [&] { return sync_stop_ || sync_goal_ > synced; });
+      sync_cv_.wait(lk, [&] { return stop_ || sync_goal_ > synced; });
       if (sync_goal_ <= synced) break;  // stop requested, nothing pending
       goal = sync_goal_;
       wal = wal_;
@@ -170,8 +203,66 @@ void Persister::sync_loop() {
     // group hits the disk. If the segment rotated since the goal was set,
     // the rotation already synced the old segment inline — syncing the
     // current one is at worst extra durability.
-    if (wal) wal->sync();
+    try {
+      if (wal) wal->sync();
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(mu_);
+      latch_locked();
+    }
     synced = goal;
+  }
+}
+
+void Persister::submit_checkpoint(std::uint64_t seq, BlobSource blobs) {
+  std::unique_lock<std::mutex> lk(mu_);
+  idle_cv_.wait(lk, [&] { return !job_ && !writing_; });
+  job_seq_ = seq;
+  job_ = std::move(blobs);
+  lk.unlock();
+  write_cv_.notify_one();
+}
+
+bool Persister::checkpoint_in_flight() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return job_ || writing_;
+}
+
+void Persister::wait_checkpoint() {
+  std::unique_lock<std::mutex> lk(mu_);
+  idle_cv_.wait(lk, [&] { return !job_ && !writing_; });
+}
+
+void Persister::write_loop() {
+  for (;;) {
+    BlobSource job;
+    std::uint64_t seq = 0;
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      write_cv_.wait(lk, [&] { return stop_ || job_; });
+      if (!job_) break;  // stop requested with no pending job
+      job = std::move(job_);
+      job_ = nullptr;
+      seq = job_seq_;
+      writing_ = true;
+    }
+    // The file is fresh and nothing else touches it, so the whole write —
+    // serialization, checksum, fsync, rename — runs outside the lock; only
+    // the prune walks shared directory state.
+    try {
+      const std::vector<std::string> blobs = job();
+      write_checkpoint_file(opts_.dir + "/CHECKPOINT." + std::to_string(seq),
+                            seq, cfg_, dict_bytes_, blobs);
+      std::lock_guard<std::mutex> lk(mu_);
+      prune_locked(seq);
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(mu_);
+      latch_locked();
+    }
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      writing_ = false;
+    }
+    idle_cv_.notify_all();
   }
 }
 
@@ -182,28 +273,22 @@ std::uint64_t Persister::appended_seq() const {
 
 bool Persister::checkpoint_due() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return appended_ - last_ckpt_ >= opts_.checkpoint_interval_records;
+  return !error_ &&
+         appended_ - last_ckpt_ >= opts_.checkpoint_interval_records;
 }
 
 std::uint64_t Persister::begin_checkpoint() {
   std::lock_guard<std::mutex> lock(mu_);
-  wal_->sync();
+  if (error_) std::rethrow_exception(error_);
+  try {
+    open_segment_locked(appended_);  // syncs the outgoing segment first
+  } catch (...) {
+    latch_locked();
+    throw;
+  }
   unsynced_ = 0;
   last_ckpt_ = appended_;
-  open_segment_locked(appended_);
   return appended_;
-}
-
-void Persister::commit_checkpoint(std::uint64_t seq,
-                                  std::span<const std::string> shard_blobs) {
-  // The file write happens outside the lock — it is a fresh file nothing
-  // else touches, and serialization-heavy checkpoints must not stall the
-  // appender. Only the prune walks shared directory state.
-  write_checkpoint_file(
-      opts_.dir + "/CHECKPOINT." + std::to_string(seq), seq, cfg_,
-      dict_.get(), shard_blobs);
-  std::lock_guard<std::mutex> lock(mu_);
-  prune_locked(seq);
 }
 
 void Persister::rebase(std::uint64_t seq) {

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "common/rng.hpp"
@@ -249,6 +251,20 @@ TEST_F(LogStoreTest, FsyncModeRoundTrip) {
   EXPECT_EQ(*reopened.get(1), "durable");
   EXPECT_EQ(*reopened.get(2), "records");
   EXPECT_EQ(*reopened.get(3), "after");
+}
+
+// Write and sync failures surface as exceptions instead of being dropped:
+// the log is pointed at a device that accepts opens but rejects every
+// write, so a buffered append fails at sync() and one larger than the
+// stdio buffer fails in put() itself.
+TEST_F(LogStoreTest, WriteAndSyncFailuresThrow) {
+  ASSERT_TRUE(std::filesystem::exists("/dev/full")) << "test needs /dev/full";
+  std::filesystem::create_symlink("/dev/full", path_);
+  LogStore s(path_, LogStore::Durability::kFsync,
+             LogStore::IndexMode::kAppendOnly);
+  s.put(1, "buffered");
+  EXPECT_THROW(s.sync(), std::runtime_error);
+  EXPECT_THROW(s.put(2, std::string(1 << 16, 'x')), std::runtime_error);
 }
 
 // Torn-write fuzz: truncate a valid log at EVERY byte offset inside the

@@ -6,6 +6,9 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <filesystem>
+#include <mutex>
+#include <shared_mutex>
 #include <span>
 #include <thread>
 #include <tuple>
@@ -622,6 +625,88 @@ TEST(ParallelApplyStress, ConcurrentDrainWithWorkerLanesStaysConsistent) {
   // The drain really applied through the pool: multi-shard batches were
   // counted by the inner sharded miner's parallel path.
   EXPECT_GE(s.apply_batches, 1u);
+}
+
+// ------------------------------------------------------ durable stress --
+
+// A persist-enabled "sharded" miner checkpoints every 64 records: each cut
+// serializes the shards on the apply lanes, then the persister's writer
+// thread checksums, writes, fsyncs and prunes while ingest and queries go
+// on. Sync backends permit no concurrent queries, so the readers share a
+// lock with the ingest thread — but the writer takes none, so the
+// ThreadSanitizer tier (DurableStress.* filter) flags it if it ever reads
+// live state after the cut. The reopened directory must then recover the
+// model byte-identically.
+TEST(DurableStress, QueriesDuringBackgroundCheckpoint) {
+  namespace fs = std::filesystem;
+  const Trace& t = small_hp();
+  const FarmerConfig cfg;
+  const std::string dir = ::testing::TempDir() + "durable_stress_bg_ckpt";
+  fs::remove_all(dir);
+  MinerOptions opts;
+  opts.shards = 4;
+  opts.apply_threads = 2;
+  opts.checkpoint_interval_records = 64;
+  opts.wal_group_commit = 16;
+  opts.persist_dir = dir;
+  auto miner = make_miner("sharded", cfg, t.dict, opts);
+
+  std::shared_mutex ingest_mu;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int rdr = 0; rdr < 2; ++rdr) {
+    readers.emplace_back([&, rdr] {
+      Rng rng(static_cast<std::uint64_t>(3100 + rdr));
+      while (!done.load(std::memory_order_acquire)) {
+        const FileId f(
+            static_cast<std::uint32_t>(rng.next_below(t.file_count())));
+        std::shared_lock<std::shared_mutex> lk(ingest_mu);
+        const CorrelatorView view = miner->snapshot(f);
+        ASSERT_LE(view.size(), cfg.correlator_capacity);
+        for (std::size_t i = 0; i < view.size(); ++i) {
+          EXPECT_NE(view[i].file, f) << "self-correlation";
+          if (i > 0) {
+            EXPECT_GE(view[i - 1].degree, view[i].degree)
+                << "snapshot not sorted";
+          }
+        }
+        (void)miner->access_count(f);
+      }
+    });
+  }
+  constexpr std::size_t kChunk = 16;
+  for (std::size_t i = 0; i < t.records.size(); i += kChunk) {
+    const std::size_t n = std::min(kChunk, t.records.size() - i);
+    std::unique_lock<std::shared_mutex> lk(ingest_mu);
+    miner->observe_batch(std::span<const TraceRecord>(&t.records[i], n));
+  }
+  miner->flush();  // waits for the last write; throws if any failed
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  miner.reset();
+
+  auto recovered = make_miner("sharded", cfg, t.dict, opts);
+  MinerOptions mem = opts;
+  mem.persist_dir.clear();
+  auto reference = make_miner("sharded", cfg, t.dict, mem);
+  reference->observe_batch(t.records);
+  ASSERT_EQ(recovered->stats().requests, t.records.size());
+  for (std::uint32_t f = 0; f < t.file_count(); ++f) {
+    const FileId id(f);
+    ASSERT_EQ(recovered->access_count(id), reference->access_count(id))
+        << "file " << f;
+    const CorrelatorView a = recovered->snapshot(id);
+    const CorrelatorView b = reference->snapshot(id);
+    ASSERT_EQ(a.size(), b.size()) << "file " << f;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].file, b[i].file) << "file " << f << " slot " << i;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i].degree),
+                std::bit_cast<std::uint32_t>(b[i].degree))
+          << "file " << f << " slot " << i;
+    }
+  }
+  recovered.reset();
+  fs::remove_all(dir);
 }
 
 // ------------------------------------------------------- router stress --
