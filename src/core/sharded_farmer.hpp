@@ -154,17 +154,23 @@ class ShardedFarmer final : public CorrelationMiner {
   // are allocation-free apart from the returned list). `*element` must
   // dereference to `const Farmer&`.
 
-  /// The merge-rule kernel over an already-concatenated list (per-shard
-  /// lists appended in shard order): sort by descending degree (file id
+  /// Merged Correlator List: concatenate per-shard lists in shard order
+  /// into a buffer sized up front, sort by descending degree (file id
   /// breaks ties), deduplicate keeping the strongest shard's entry, cap at
-  /// `capacity`. Split out from merged_correlators so consumers that fetch
-  /// shard lists remotely (the "cluster" client, net/cluster_miner.*) run
-  /// the exact same arithmetic on the exact same input order — which is
-  /// what keeps cluster queries byte-identical to sharded ones.
-  /// The deduplication runs in place (the kept prefix never overtakes the
-  /// read position), so the merge allocates nothing beyond `merged`.
-  [[nodiscard]] static std::vector<Correlator> merge_concatenated(
-      std::vector<Correlator> merged, std::size_t capacity) {
+  /// `capacity`. The deduplication runs in place (the kept prefix never
+  /// overtakes the read position), so the merge allocates nothing beyond
+  /// `merged`.
+  template <typename ShardRange>
+  [[nodiscard]] static std::vector<Correlator> merged_correlators(
+      const ShardRange& shards, FileId f, std::size_t capacity) {
+    std::size_t total = 0;
+    for (const auto& shard : shards) total += shard->correlator_list(f).size();
+    std::vector<Correlator> merged;
+    merged.reserve(total);
+    for (const auto& shard : shards) {
+      const auto& list = shard->correlator_list(f);
+      merged.insert(merged.end(), list.begin(), list.end());
+    }
     std::sort(merged.begin(), merged.end(),
               [](const Correlator& a, const Correlator& b) {
                 if (a.degree != b.degree) return a.degree > b.degree;
@@ -182,22 +188,6 @@ class ShardedFarmer final : public CorrelationMiner {
     }
     merged.resize(kept);
     return merged;
-  }
-
-  /// Merged Correlator List: concatenate per-shard lists in shard order
-  /// into a buffer sized up front, then apply merge_concatenated.
-  template <typename ShardRange>
-  [[nodiscard]] static std::vector<Correlator> merged_correlators(
-      const ShardRange& shards, FileId f, std::size_t capacity) {
-    std::size_t total = 0;
-    for (const auto& shard : shards) total += shard->correlator_list(f).size();
-    std::vector<Correlator> merged;
-    merged.reserve(total);
-    for (const auto& shard : shards) {
-      const auto& list = shard->correlator_list(f);
-      merged.insert(merged.end(), list.begin(), list.end());
-    }
-    return merge_concatenated(std::move(merged), capacity);
   }
 
   /// Strongest per-shard R(a, b) — consistent with the merge rule.
