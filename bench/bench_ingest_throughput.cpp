@@ -25,24 +25,18 @@
 //      the dirty-set scaling are measured side by side on identical state.
 //   3. Mixed ingest + N readers: 4 producers replay the trace while N
 //      reader threads hammer snapshot() on Zipf-distributed hot files,
-//      across the pre-RCU shared_mutex baseline, the RCU shard-table path,
-//      RCU + correlator cache, and RCU + coalesced publishes.
-//   4. Multi-tenant serving: a merged 2/4-tenant stream
-//      (make_multi_tenant_trace) replayed by 4 producers into one shared
-//      "concurrent" miner versus the "router" backend with one
-//      "concurrent" child per tenant (tenant map aligned to the trace's
-//      FileId ranges), with per-tenant request accounting from
-//      MinerStats::per_tenant.
-//   5. Durable persistence: steady-state ingest with the WAL + checkpoint
+//      across the pre-RCU shared_mutex baseline, the RCU shard-table path
+//      and RCU + coalesced publishes.
+//   4. Durable persistence: steady-state ingest with the WAL + checkpoint
 //      pipeline enabled vs the no-persist baseline (sharded and concurrent
 //      paths), the cost of one full-model checkpoint save, and recovery
 //      wall-clock from a checkpoint alone vs a checkpoint plus a WAL tail
 //      (~40% of the trace) that must be replayed.
-//   6. Disk replay (the out-of-core pipeline): a multi-tenant trace is
+//   5. Disk replay (the out-of-core pipeline): a multi-tenant trace is
 //      streamed to per-tenant v3 part files (stream_multi_tenant_trace),
 //      externally merged by timestamp (merge_trace_streams), then the
 //      merged file is mmap'd and its record span fed to every backend —
-//      sharded/concurrent/router, with and without WAL + checkpoints —
+//      sharded/concurrent, with and without WAL + checkpoints —
 //      next to an in-memory sharded baseline over the materialized trace.
 //      FARMER_TRACE_DIR / FARMER_TRACE_TENANTS / FARMER_TRACE_ROUNDS size
 //      and place the trace (see bench_util.hpp); with FARMER_TRACE_DIR set
@@ -56,7 +50,6 @@
 
 #include <atomic>
 #include <filesystem>
-#include <fstream>
 #include <shared_mutex>
 
 #include "common/stats.hpp"
@@ -511,109 +504,38 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(trace.dict->files.size());
 
   Table mixed({"query path", "readers", "ingest rec/s", "queries", "q p50",
-               "q p95", "q p99", "cache hit%"});
+               "q p95", "q p99"});
   const auto add_mixed_row = [&](const char* label, std::size_t readers,
-                                 const MixedResult& r, double hit_pct,
-                                 bool have_hits) {
+                                 const MixedResult& r) {
     mixed.add_row(
         {label, std::to_string(readers),
          fmt_double(static_cast<double>(trace.records.size()) / r.ingest_secs,
                     0),
          std::to_string(r.queries), std::to_string(r.latency_ns.p50()),
          std::to_string(r.latency_ns.p95()),
-         std::to_string(r.latency_ns.p99()),
-         have_hits ? fmt_double(hit_pct, 1) : std::string("-")});
+         std::to_string(r.latency_ns.p99())});
   };
   for (const std::size_t readers : {4u, 8u}) {
     {
       LockedShardedMiner locked(cfg, trace.dict, opts.shards);
       const MixedResult r = mixed_replay(locked, parts, readers, file_count);
-      add_mixed_row("shared_mutex (pre-RCU)", readers, r, 0.0, false);
+      add_mixed_row("shared_mutex (pre-RCU)", readers, r);
     }
     {
       MinerOptions rcu = opts;
       rcu.ingest_threads = kProducers;
-      rcu.query_cache_capacity = 0;
       rcu.publish_interval_records = 0;
       const auto miner = make_miner("concurrent", cfg, trace.dict, rcu);
       const MixedResult r = mixed_replay(*miner, parts, readers, file_count);
-      add_mixed_row("RCU shard-table", readers, r, 0.0, false);
+      add_mixed_row("RCU shard-table", readers, r);
     }
     {
       MinerOptions coal = opts;
       coal.ingest_threads = kProducers;
-      coal.query_cache_capacity = 0;
       coal.publish_interval_records = 8192;
       const auto miner = make_miner("concurrent", cfg, trace.dict, coal);
       const MixedResult r = mixed_replay(*miner, parts, readers, file_count);
-      add_mixed_row("RCU + coalesced publish", readers, r, 0.0, false);
-    }
-    {
-      MinerOptions cached = opts;
-      cached.ingest_threads = kProducers;
-      cached.query_cache_capacity = 4096;
-      const auto miner = make_miner("concurrent", cfg, trace.dict, cached);
-      const MixedResult r = mixed_replay(*miner, parts, readers, file_count);
-      const MinerStats s = miner->stats();
-      const double hit_pct =
-          s.cache_hits + s.cache_misses
-              ? 100.0 * static_cast<double>(s.cache_hits) /
-                    static_cast<double>(s.cache_hits + s.cache_misses)
-              : 0.0;
-      add_mixed_row("RCU + correlator cache", readers, r, hit_pct, true);
-    }
-  }
-
-  // -------------------------------------------------- multi-tenant router --
-  // The first column is the row's identity (bench_diff matches rows by it),
-  // so it carries both the tenant count and the serving layer.
-  Table tenants_tbl({"scenario", "records", "seconds", "records/s",
-                     "per-tenant requests"});
-  {
-    const TraceKind kTenantKinds[] = {TraceKind::kHP, TraceKind::kINS,
-                                      TraceKind::kRES, TraceKind::kHP};
-    for (const std::size_t ntenants : {2u, 4u}) {
-      const std::string nt = std::to_string(ntenants);
-      const MultiTenantTrace mt = make_multi_tenant_trace(
-          std::span<const TraceKind>(kTenantKinds, ntenants),
-          kExperimentSeed, bench_scale());
-      const FarmerConfig mcfg = fpa_config(mt.trace);
-      const auto mparts = partition_by_process(mt.trace, kProducers);
-      {
-        MinerOptions shared = opts;
-        shared.ingest_threads = kProducers;
-        const auto miner = make_miner("concurrent", mcfg, mt.trace.dict,
-                                      shared);
-        const double secs = concurrent_replay(*miner, mparts);
-        const MinerStats s = miner->stats();
-        tenants_tbl.add_row(
-            {nt + "t / concurrent (shared)", std::to_string(s.requests),
-             fmt_double(secs, 3),
-             fmt_double(static_cast<double>(s.requests) / secs, 0), "-"});
-      }
-      {
-        MinerOptions ropts = opts;
-        ropts.ingest_threads = kProducers;
-        ropts.router_tenants = ntenants;
-        ropts.router_backends = "concurrent";
-        // Align the router's tenant map with the trace's ground-truth
-        // FileId ranges (tenants are not equally sized, so the default
-        // equal-range split would misroute boundary files).
-        ropts.router_tenant_of = mt.tenant_map();
-        const auto miner = make_miner("router", mcfg, mt.trace.dict, ropts);
-        const double secs = concurrent_replay(*miner, mparts);
-        const MinerStats s = miner->stats();
-        std::string per_tenant;
-        for (const MinerStats& ts : s.per_tenant) {
-          if (!per_tenant.empty()) per_tenant += "/";
-          per_tenant += std::to_string(ts.requests);
-        }
-        tenants_tbl.add_row(
-            {nt + "t / router (concurrent x" + nt + ")",
-             std::to_string(s.requests), fmt_double(secs, 3),
-             fmt_double(static_cast<double>(s.requests) / secs, 0),
-             per_tenant});
-      }
+      add_mixed_row("RCU + coalesced publish", readers, r);
     }
   }
 
@@ -732,7 +654,6 @@ int main(int argc, char** argv) {
     if (!keep) fs::remove_all(dir, ec);
     fs::create_directories(dir);
     const fs::path merged_path = dir / "merged.ftrace";
-    const fs::path ranges_path = dir / "file_begin.txt";
 
     const auto add_replay_row = [&](const std::string& label,
                                     std::uint64_t records, double secs) {
@@ -742,20 +663,7 @@ int main(int argc, char** argv) {
                                       0)});
     };
 
-    // Ground-truth tenant FileId range starts; regenerated with the trace
-    // or reloaded from the sidecar when an existing trace is reused (the
-    // router row needs them).
-    std::vector<std::uint32_t> file_begin;
-    if (keep && fs::exists(merged_path) && fs::exists(ranges_path)) {
-      std::ifstream rf(ranges_path);
-      std::uint32_t v = 0;
-      while (rf >> v) file_begin.push_back(v);
-      if (file_begin.size() < 2) {
-        std::cerr << "corrupt " << ranges_path
-                  << ": regenerate the trace directory\n";
-        return 2;
-      }
-    } else {
+    if (!(keep && fs::exists(merged_path))) {
       static const TraceKind kTenantKinds[] = {TraceKind::kHP,
                                                TraceKind::kINS,
                                                TraceKind::kRES,
@@ -781,10 +689,6 @@ int main(int argc, char** argv) {
       t1 = std::chrono::steady_clock::now();
       add_replay_row("merge (k-way)", merged,
                      std::chrono::duration<double>(t1 - t0).count());
-
-      file_begin = streamed.file_begin;
-      std::ofstream rf(ranges_path, std::ios::trunc);
-      for (const std::uint32_t v : file_begin) rf << v << "\n";
     }
 
     const TraceReader reader(merged_path.string());
@@ -828,17 +732,6 @@ int main(int argc, char** argv) {
       add_replay_row("replay concurrent x4 (wal+ckpt)", n,
                      span_replay_concurrent(*miner, records, kProducers));
     }
-    {
-      MinerOptions router = ropts;
-      router.router_tenants = file_begin.size() - 1;
-      router.router_backends = "concurrent";
-      router.router_tenant_of = [begins = file_begin](FileId f) {
-        return tenant_of_ranges(begins, f);
-      };
-      const auto miner = make_miner("router", rcfg, reader.dict(), router);
-      add_replay_row("replay router (concurrent)", n,
-                     span_replay_concurrent(*miner, records, kProducers));
-    }
     fs::remove_all(pbase, ec);
     if (!keep) fs::remove_all(dir, ec);
   }
@@ -855,8 +748,6 @@ int main(int argc, char** argv) {
     std::cout << ", ";
     mixed.print_json(std::cout, "mixed_ingest_readers");
     std::cout << ", ";
-    tenants_tbl.print_json(std::cout, "multi_tenant");
-    std::cout << ", ";
     recovery.print_json(std::cout, "recovery");
     std::cout << ", ";
     disk_replay.print_json(std::cout, "disk_replay");
@@ -865,12 +756,6 @@ int main(int argc, char** argv) {
   }
 
   mixed.print(std::cout);
-
-  std::cout << "\nMulti-tenant serving: merged tenant streams "
-               "(make_multi_tenant_trace), 4 producers, one shared "
-               "\"concurrent\" miner vs the \"router\" backend with one "
-               "concurrent child per tenant:\n\n";
-  tenants_tbl.print(std::cout);
 
   std::cout << "\nDurable persistence: WAL + checkpoint overhead on the "
                "ingest path, checkpoint save cost, and recovery wall-clock "

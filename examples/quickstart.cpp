@@ -52,8 +52,7 @@ int main(int argc, char** argv) {
   }
 
   // 3. The model, chosen at runtime: "farmer" (serial), "sharded"
-  //    (parallel ingest), "concurrent" (async lock-free ingest), "router"
-  //    (multi-tenant partitioning over factory-built children), or
+  //    (parallel ingest), "concurrent" (async lock-free ingest), or
   //    "nexus" (the p = 0 sequence-only baseline).
   std::unique_ptr<CorrelationMiner> model;
   try {

@@ -36,27 +36,19 @@ namespace farmer {
 /// Field contract per backend class — every backend fills every field with
 /// a defined value, never garbage:
 ///
-///   * Synchronous backends (farmer, sharded, nexus): `epoch`, `pending`,
-///     `cache_hits` and `cache_misses` are explicitly zero and
-///     `shard_epochs` is empty — state is always current, nothing is ever
-///     queued, no query cache exists. Zero here *means* "not applicable",
-///     by contract (MinerStatsContract tests pin this down). The batch-apply
-///     counters (`apply_batches`, `apply_parallel_records`) are owned by the
-///     sharded apply path: "sharded" fills them, single-shard backends
-///     (farmer, nexus) keep them at zero.
+///   * Synchronous backends (farmer, sharded, nexus): `epoch` and
+///     `pending` are explicitly zero and `shard_epochs` is empty — state is
+///     always current, nothing is ever queued. Zero here *means* "not
+///     applicable", by contract (MinerStatsContract tests pin this down).
+///     The batch-apply counters (`apply_batches`, `apply_parallel_records`)
+///     are owned by the sharded apply path: "sharded" fills them,
+///     single-shard backends (farmer, nexus) keep them at zero.
 ///   * Asynchronous backends (concurrent): `requests`/`pairs_*` count
 ///     *published* records (enqueued-but-unpublished records appear in
 ///     `pending` instead), `epoch` is the global publish round,
-///     `shard_epochs[s]` is shard s's publish count, the cache counters are
-///     live (all zero when the cache is disabled), and the publish counters
-///     (`publishes`, `files_cloned`, `bytes_shared`) account the
+///     `shard_epochs[s]` is shard s's publish count, and the publish
+///     counters (`publishes`, `files_cloned`, `bytes_shared`) account the
 ///     copy-on-write snapshot pipeline.
-///   * Routing backends (router): every scalar counter is the sum over the
-///     child miners (except `epoch`, which is the max — child publish
-///     rounds are independent clocks, so a sum would be meaningless),
-///     `shard_epochs` stays empty at the top level, and `per_tenant` holds
-///     each child's full MinerStats in tenant order. Leaf backends leave
-///     `per_tenant` empty — "empty" *means* "not a router", by contract.
 struct MinerStats {
   std::uint64_t requests = 0;         ///< observe() calls ingested
   std::uint64_t pairs_evaluated = 0;  ///< CoMiner R(x,y) evaluations
@@ -84,10 +76,6 @@ struct MinerStats {
                                    ///< (async backends; heap spill of shared
                                    ///< blocks is additional savings not
                                    ///< counted here)
-  std::uint64_t cache_hits = 0;    ///< Correlator-List cache hits (async
-                                   ///< backends with the cache enabled)
-  std::uint64_t cache_misses = 0;  ///< lookups that had to re-merge: cold,
-                                   ///< evicted, or epoch-stale entries
   std::uint64_t apply_batches = 0;  ///< observe_batch spans the sharded
                                     ///< apply path partitioned (sharded
                                     ///< backend live; concurrent as of the
@@ -98,14 +86,8 @@ struct MinerStats {
                                     ///< apply thread; 0 = every batch was
                                     ///< applied serially)
   /// Per-shard publish counts (async backends; empty = synchronous). A
-  /// shard's entry advances exactly when an apply round touched it, which
-  /// is the invalidation signal the Correlator-List cache validates
-  /// against.
+  /// shard's entry advances exactly when an apply round touched it.
   std::vector<std::uint64_t> shard_epochs;
-  /// Per-tenant child stats in tenant order ("router" backend only; empty
-  /// everywhere else). Children are leaves, so entries never nest further.
-  /// std::vector explicitly supports the incomplete element type here.
-  std::vector<MinerStats> per_tenant;
 
   [[nodiscard]] double acceptance_rate() const noexcept {
     return pairs_evaluated

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "api/miner_router.hpp"
 #include "core/concurrent_farmer.hpp"
 #include "core/farmer.hpp"
 #include "core/sharded_farmer.hpp"
@@ -106,25 +105,6 @@ Registry& registry() {
           std::move(miner), std::move(view), cfg, std::move(dict),
           persist_options(opts));
     };
-    built_in["router"] = [](const FarmerConfig& cfg,
-                            std::shared_ptr<const TraceDictionary> dict,
-                            const MinerOptions& opts) {
-      // Children inherit the full MinerOptions; the spec string only picks
-      // each tenant's backend name. Spec errors surface as
-      // std::invalid_argument from here, before any child is built.
-      auto specs = parse_router_backends(opts.router_backends,
-                                         opts.router_tenants, opts);
-      // Persistence fans out per tenant: each child owns (and recovers) its
-      // own subdirectory through its own factory path, so a mixed-backend
-      // router persists with each tenant's native mechanism.
-      if (!opts.persist_dir.empty())
-        for (std::size_t t = 0; t < specs.size(); ++t)
-          specs[t].options.persist_dir =
-              opts.persist_dir + "/tenant" + std::to_string(t);
-      return std::make_unique<MinerRouter>(cfg, std::move(dict),
-                                           std::move(specs),
-                                           opts.router_tenant_of);
-    };
     built_in["concurrent"] = [](const FarmerConfig& cfg,
                                 std::shared_ptr<const TraceDictionary> dict,
                                 const MinerOptions& opts) {
@@ -141,7 +121,6 @@ Registry& registry() {
                                                 opts.shards,
                                                 opts.ingest_threads,
                                                 opts.max_pending,
-                                                opts.query_cache_capacity,
                                                 opts.publish_interval_records,
                                                 opts.publish_max_delay_ms,
                                                 std::move(persister),

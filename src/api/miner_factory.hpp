@@ -1,10 +1,8 @@
 // Runtime-selectable mining backends.
 //
-// `make_miner("farmer" | "sharded" | "concurrent" | "router" | "nexus",
-// cfg, dict, opts)` turns the backend choice into data: benches flip
-// ablations (Table 2/3, Fig. 3/6) with a string flag instead of a
-// recompiled type. "router" is itself factory-driven: it builds one child
-// miner per tenant through this registry (api/miner_router.hpp).
+// `make_miner("farmer" | "sharded" | "concurrent" | "nexus", cfg, dict,
+// opts)` turns the backend choice into data: benches flip ablations
+// (Table 2/3, Fig. 3/6) with a string flag instead of a recompiled type.
 //
 // The configuration is validated (FarmerConfig::validate) before any
 // backend is constructed; a bad config or an unknown backend name throws
@@ -42,13 +40,6 @@ struct MinerOptions {
   /// Backpressure bound for the "concurrent" backend: producers soft-block
   /// once this many records are queued but unapplied. 0 = backend default.
   std::size_t max_pending = 0;
-  /// Capacity (entries) of the "concurrent" backend's epoch-validated LRU
-  /// cache of hot merged Correlator Lists, in front of the snapshot query
-  /// path. 0 disables caching entirely — every query re-merges, which is
-  /// the reference behavior the differential tests compare against.
-  /// Ignored by synchronous backends (their snapshot() is already a
-  /// zero-copy borrow or a single-merge). Env: FARMER_QUERY_CACHE.
-  std::size_t query_cache_capacity = 0;
   /// Publish coalescing for the "concurrent" backend: the drain batches
   /// apply rounds and publishes a new shard table only once at least this
   /// many records have been applied since the last publication, or the
@@ -63,21 +54,11 @@ struct MinerOptions {
   /// Only meaningful with publish_interval_records > 1; 0 = backend
   /// default (4 ms). Env: FARMER_PUBLISH_MAX_DELAY_MS.
   std::size_t publish_max_delay_ms = 0;
-  /// Tenant partitions for the "router" backend: the FileId space is split
-  /// across this many independent child miners. Env: FARMER_ROUTER_TENANTS.
-  std::size_t router_tenants = 2;
-  /// Per-tenant backend spec for "router": one registered name for every
-  /// tenant ("concurrent") or `idx=name` pairs with an optional `*=name`
-  /// default ("0=concurrent,1=sharded,*=farmer"). Empty = "farmer"
-  /// everywhere; "router" cannot nest. Children inherit this MinerOptions
-  /// (shards, cache, publish knobs). Env: FARMER_ROUTER_BACKENDS.
-  std::string router_backends;
   /// Durable persistence directory (empty = persistence off). When set,
   /// every ingested record is WAL-appended before it is applied, the model
   /// is checkpointed into the directory on the interval below, and
   /// construction auto-recovers whatever the directory holds (newest valid
-  /// checkpoint + contiguous WAL tail, torn records truncated). "router"
-  /// gives each tenant its own `<dir>/tenant<t>` subdirectory. The
+  /// checkpoint + contiguous WAL tail, torn records truncated). The
   /// directory is bound to the FarmerConfig and dictionary it was written
   /// with: recovery throws on a mismatch rather than mixing models.
   /// Env: FARMER_PERSIST_DIR.
@@ -90,12 +71,6 @@ struct MinerOptions {
   /// (0 = backend default, 4096; 1 = fsync every record).
   /// Env: FARMER_WAL_GROUP_COMMIT.
   std::size_t wal_group_commit = 0;
-  /// Optional tenant-extraction override for "router": maps a FileId to
-  /// its owning tenant; must be pure and thread-safe. Empty = contiguous
-  /// FileId ranges over the dictionary's file count (hash fallback when
-  /// the dictionary is empty). See MinerRouter::range_tenants /
-  /// hash_tenants (api/miner_router.hpp).
-  std::function<std::uint32_t(FileId)> router_tenant_of;
 };
 
 using MinerFactoryFn = std::function<std::unique_ptr<CorrelationMiner>(
@@ -103,14 +78,14 @@ using MinerFactoryFn = std::function<std::unique_ptr<CorrelationMiner>(
     const MinerOptions& opts)>;
 
 /// Adds (or replaces) a backend under `name`. Returns true when `name` was
-/// new. Built-ins "farmer", "sharded", "concurrent", "router" and "nexus"
-/// are pre-registered. This is the extension seam for new backends — see
+/// new. Built-ins "farmer", "sharded", "concurrent" and "nexus" are
+/// pre-registered. This is the extension seam for new backends — see
 /// docs/ARCHITECTURE.md.
 ///
 /// A registered factory must return miners honoring the CorrelationMiner
 /// contracts (correlation_miner.hpp): in particular flush() must be a real
 /// ingest barrier on asynchronous backends, and stats() must follow the
-/// MinerStats field contract (zero epoch/pending/cache counters and empty
+/// MinerStats field contract (zero epoch/pending counters and empty
 /// shard_epochs when the concept does not apply).
 ///
 /// Thread-safety: registration is NOT synchronized against concurrent

@@ -12,8 +12,8 @@
 // "fpa" is the only predictor that owns a mining backend: it builds its
 // CorrelationMiner through the MinerFactory from
 // `PredictorOptions::miner_backend` + `PredictorOptions::miner`, so the
-// full backend matrix (farmer/sharded/concurrent/router/nexus, with
-// persistence, caching and publish knobs) is reachable behind the Predictor
+// full backend matrix (farmer/sharded/concurrent/nexus, with
+// persistence and publish knobs) is reachable behind the Predictor
 // interface with zero predictor-specific plumbing.
 //
 // `PredictorOptions` is validated before any predictor is constructed: a

@@ -51,17 +51,12 @@ RuntimeConfig RuntimeConfig::from_env() {
   parse_size("FARMER_APPLY_THREADS", rc.miner.apply_threads);
   // Capacity knobs get a generous ceiling; 0 stays "disabled"/"default"
   // (parse_size rejects 0, matching the defaults already meaning that).
-  parse_size("FARMER_QUERY_CACHE", rc.miner.query_cache_capacity,
-             /*max_value=*/1u << 24);
   parse_size("FARMER_MAX_PENDING", rc.miner.max_pending,
              /*max_value=*/1u << 30);
   parse_size("FARMER_PUBLISH_INTERVAL", rc.miner.publish_interval_records,
              /*max_value=*/1u << 30);
   parse_size("FARMER_PUBLISH_MAX_DELAY_MS", rc.miner.publish_max_delay_ms,
              /*max_value=*/60000);
-  parse_size("FARMER_ROUTER_TENANTS", rc.miner.router_tenants,
-             /*max_value=*/1024);
-  parse_string("FARMER_ROUTER_BACKENDS", rc.miner.router_backends);
   parse_string("FARMER_PERSIST_DIR", rc.miner.persist_dir);
   parse_size("FARMER_CHECKPOINT_INTERVAL",
              rc.miner.checkpoint_interval_records, /*max_value=*/1u << 30);

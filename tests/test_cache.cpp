@@ -1,11 +1,9 @@
-// Tests for replacement policies, the prefetch-aware metadata cache, and
-// the epoch-validated Correlator-List cache.
+// Tests for replacement policies and the prefetch-aware metadata cache.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <vector>
 
-#include "cache/correlator_cache.hpp"
 #include "cache/metadata_cache.hpp"
 #include "cache/replacement.hpp"
 #include "common/rng.hpp"
@@ -241,112 +239,6 @@ TEST(Lru, MatchesReferenceModelUnderRandomOps) {
     }
     ASSERT_EQ(c.size(), ref.size());
   }
-}
-
-// ------------------------------------------------ Correlator-List cache --
-
-std::vector<Correlator> micro_list() {
-  return {{FileId(7), 0.9f}, {FileId(9), 0.5f}};
-}
-
-constexpr auto kNeverAbsent = [](std::size_t) { return false; };
-constexpr auto kAlwaysAbsent = [](std::size_t) { return true; };
-
-TEST(CorrelatorCache, HitAfterWarm) {
-  CorrelatorCache cache(8);
-  const std::vector<std::uint64_t> epochs = {3, 5};
-  EXPECT_FALSE(cache.lookup(FileId(1), epochs, kNeverAbsent).has_value());
-  cache.insert(FileId(1), epochs, {1, 0}, micro_list());
-  const auto hit = cache.lookup(FileId(1), epochs, kNeverAbsent);
-  ASSERT_TRUE(hit.has_value());
-  ASSERT_EQ(hit->size(), 2u);
-  EXPECT_EQ((*hit)[0].file, FileId(7));
-  EXPECT_FLOAT_EQ((*hit)[0].degree, 0.9f);
-  const CorrelatorCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.insertions, 1u);
-  EXPECT_EQ(s.invalidations, 0u);
-}
-
-TEST(CorrelatorCache, ContributingShardEpochAdvanceInvalidates) {
-  CorrelatorCache cache(8);
-  cache.insert(FileId(1), std::vector<std::uint64_t>{3, 5}, {1, 0},
-               micro_list());
-  // Shard 0 contributed and republished: the entry must die even though the
-  // absence probe would claim the file vanished (contained wins).
-  const std::vector<std::uint64_t> advanced = {4, 5};
-  EXPECT_FALSE(cache.lookup(FileId(1), advanced, kAlwaysAbsent).has_value());
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  // The stale entry was erased, not served again.
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(CorrelatorCache, NonContributingShardAdvanceKeepsEntryWhileAbsent) {
-  CorrelatorCache cache(8);
-  cache.insert(FileId(1), std::vector<std::uint64_t>{3, 5}, {1, 0},
-               micro_list());
-  // Shard 1 republished but never contained the file and still does not:
-  // the merged list cannot have changed, the entry survives.
-  const std::vector<std::uint64_t> advanced = {3, 9};
-  EXPECT_TRUE(cache.lookup(FileId(1), advanced, kAlwaysAbsent).has_value());
-  // The verdict is memoized: a probe that now said "present" would not be
-  // consulted for epoch 9 again (recorded epoch advanced on the hit)...
-  EXPECT_TRUE(cache.lookup(FileId(1), advanced, kNeverAbsent).has_value());
-  // ...but a *further* advance with the file now present invalidates.
-  const std::vector<std::uint64_t> further = {3, 10};
-  EXPECT_FALSE(cache.lookup(FileId(1), further, kNeverAbsent).has_value());
-  const CorrelatorCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits, 2u);
-  EXPECT_EQ(s.invalidations, 1u);
-}
-
-TEST(CorrelatorCache, ShardCountChangeInvalidates) {
-  CorrelatorCache cache(8);
-  cache.insert(FileId(1), std::vector<std::uint64_t>{3}, {1}, micro_list());
-  const std::vector<std::uint64_t> two_shards = {3, 0};
-  EXPECT_FALSE(cache.lookup(FileId(1), two_shards, kAlwaysAbsent).has_value());
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-}
-
-TEST(CorrelatorCache, CapacityZeroDisablesEverything) {
-  CorrelatorCache cache(0);
-  EXPECT_FALSE(cache.enabled());
-  const std::vector<std::uint64_t> epochs = {1};
-  cache.insert(FileId(1), epochs, {1}, micro_list());
-  EXPECT_FALSE(cache.lookup(FileId(1), epochs, kNeverAbsent).has_value());
-  EXPECT_EQ(cache.size(), 0u);
-  // Disabled means invisible: not even miss counters move.
-  const CorrelatorCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses + s.insertions + s.invalidations, 0u);
-}
-
-TEST(CorrelatorCache, EvictionRespectsCapacityWithLru) {
-  // One stripe so the LRU order is global and deterministic.
-  CorrelatorCache cache(2, CachePolicy::kLRU, /*stripes=*/1);
-  const std::vector<std::uint64_t> epochs = {1};
-  cache.insert(FileId(1), epochs, {1}, micro_list());
-  cache.insert(FileId(2), epochs, {1}, micro_list());
-  // Touch 1 so 2 becomes the LRU victim.
-  EXPECT_TRUE(cache.lookup(FileId(1), epochs, kNeverAbsent).has_value());
-  cache.insert(FileId(3), epochs, {1}, micro_list());
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.lookup(FileId(1), epochs, kNeverAbsent).has_value());
-  EXPECT_FALSE(cache.lookup(FileId(2), epochs, kNeverAbsent).has_value());
-  EXPECT_TRUE(cache.lookup(FileId(3), epochs, kNeverAbsent).has_value());
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(CorrelatorCache, ClearDropsEntriesKeepsStats) {
-  CorrelatorCache cache(8);
-  const std::vector<std::uint64_t> epochs = {1};
-  cache.insert(FileId(1), epochs, {1}, micro_list());
-  EXPECT_TRUE(cache.lookup(FileId(1), epochs, kNeverAbsent).has_value());
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup(FileId(1), epochs, kNeverAbsent).has_value());
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_GT(cache.footprint_bytes(), 0u);
 }
 
 }  // namespace

@@ -302,75 +302,6 @@ TEST(ConcurrentMinerStress, SnapshotsConsistentWhileProducersIngest) {
   EXPECT_EQ(s.epoch, miner.epoch());
 }
 
-// The Correlator-List cache sits on the reader path, so it must uphold the
-// same invariants under concurrent ingest: hits and misses alike may only
-// surface sorted, capped, self-free, threshold-passing lists, and epochs
-// stay monotone per reader. This variant runs under the ThreadSanitizer CI
-// tier (ConcurrentMinerStress.* filter), racing the cache's stripe locks
-// and lazy invalidation against the drain's RCU publishes.
-TEST(ConcurrentMinerStress, CachedSnapshotsConsistentWhileProducersIngest) {
-  const Trace& t = small_hp();
-  const FarmerConfig cfg;
-  constexpr std::size_t kProducers = 4;
-  ConcurrentFarmer miner(cfg, t.dict, /*shards=*/4,
-                         /*ingest_queues=*/kProducers,
-                         ConcurrentFarmer::kDefaultMaxPending,
-                         /*query_cache_capacity=*/128);
-
-  const auto parts = testing::partition_by_process(t.records, kProducers);
-
-  std::atomic<bool> done{false};
-  std::vector<std::thread> readers;
-  for (int rdr = 0; rdr < 2; ++rdr) {
-    readers.emplace_back([&, rdr] {
-      Rng rng(static_cast<std::uint64_t>(400 + rdr));
-      std::uint64_t last_epoch = 0;
-      while (!done.load(std::memory_order_acquire)) {
-        // Small id range: readers collide on hot entries, exercising
-        // hit/invalidate/refill races rather than a cold-miss parade.
-        const FileId f(static_cast<std::uint32_t>(
-            rng.next_below(std::min<std::uint64_t>(t.file_count(), 64))));
-        const EpochSnapshot snap = miner.epoch_snapshot(f);
-        EXPECT_GE(snap.epoch, last_epoch) << "epoch went backwards";
-        last_epoch = snap.epoch;
-        ASSERT_LE(snap.view.size(), cfg.correlator_capacity);
-        for (std::size_t i = 0; i < snap.view.size(); ++i) {
-          EXPECT_NE(snap.view[i].file, f) << "self-correlation";
-          EXPECT_GE(snap.view[i].degree,
-                    static_cast<float>(cfg.max_strength) - 1e-4f)
-              << "torn/filtered degree surfaced";
-          if (i > 0) {
-            EXPECT_GE(snap.view[i - 1].degree, snap.view[i].degree)
-                << "snapshot not sorted";
-          }
-        }
-      }
-    });
-  }
-
-  testing::replay_partitioned(miner, parts, /*chunk=*/32);
-  miner.flush();
-  done.store(true, std::memory_order_release);
-  for (auto& r : readers) r.join();
-
-  const MinerStats s = miner.stats();
-  EXPECT_EQ(s.requests, t.records.size());
-  EXPECT_EQ(s.pending, 0u);
-  // The readers really went through the cache.
-  EXPECT_GT(s.cache_hits + s.cache_misses, 0u);
-  // After the final flush, a cached answer must equal a fresh merge.
-  for (std::uint32_t f = 0; f < std::min<std::uint32_t>(t.file_count(), 64);
-       ++f) {
-    const auto warm = miner.correlators(FileId(f));
-    const auto again = miner.correlators(FileId(f));
-    ASSERT_EQ(warm.size(), again.size()) << "file " << f;
-    for (std::size_t i = 0; i < warm.size(); ++i) {
-      EXPECT_EQ(warm[i].file, again[i].file);
-      EXPECT_EQ(warm[i].degree, again[i].degree);
-    }
-  }
-}
-
 // Publish coalescing under racing producers and readers: with a short
 // record interval and a tight staleness deadline the drain keeps switching
 // between coalesced and deadline-forced publishes while readers validate
@@ -385,7 +316,6 @@ TEST(ConcurrentMinerStress, CoalescedPublishesStayConsistent) {
   ConcurrentFarmer miner(cfg, t.dict, /*shards=*/4,
                          /*ingest_queues=*/kProducers,
                          ConcurrentFarmer::kDefaultMaxPending,
-                         /*query_cache_capacity=*/128,
                          /*publish_interval_records=*/512,
                          /*publish_max_delay_ms=*/1);
 
@@ -583,7 +513,6 @@ TEST(ParallelApplyStress, ConcurrentDrainWithWorkerLanesStaysConsistent) {
   ConcurrentFarmer miner(cfg, t.dict, /*shards=*/4,
                          /*ingest_queues=*/kProducers,
                          ConcurrentFarmer::kDefaultMaxPending,
-                         /*query_cache_capacity=*/0,
                          /*publish_interval_records=*/0,
                          /*publish_max_delay_ms=*/0,
                          /*persister=*/nullptr,
@@ -707,76 +636,6 @@ TEST(DurableStress, QueriesDuringBackgroundCheckpoint) {
   }
   recovered.reset();
   fs::remove_all(dir);
-}
-
-// ------------------------------------------------------- router stress --
-
-// The router under the full concurrent mix: racing producers partitioned
-// by process, readers hammering snapshots across every tenant, and a
-// flusher thread exercising the fan-out barrier — all while each tenant
-// runs its own drain. The router itself keeps no mutable state, so TSan
-// failures here indict the routing layer's composition, not the children
-// (which the ConcurrentMinerStress suite covers in isolation). Runs in the
-// CI thread-sanitizer tier via the RouterStress.* filter.
-TEST(RouterStress, SnapshotsAndFlushesRaceAcrossTenants) {
-  constexpr TraceKind kKinds[] = {TraceKind::kHP, TraceKind::kINS};
-  static const MultiTenantTrace mt = make_multi_tenant_trace(kKinds, 99,
-                                                             0.02);
-  const FarmerConfig cfg;
-  constexpr std::size_t kProducers = 4;
-  MinerOptions opts;
-  opts.shards = 2;
-  opts.ingest_threads = kProducers;
-  opts.router_tenants = 2;
-  opts.router_backends = "concurrent";
-  opts.router_tenant_of = mt.tenant_map();
-  const auto miner = make_miner("router", cfg, mt.trace.dict, opts);
-
-  // Tenant-0/tenant-1 boundary, for the isolation assertion below.
-  const std::uint32_t boundary = mt.file_begin[1];
-  const auto parts = testing::partition_by_process(mt.trace.records,
-                                                   kProducers);
-  std::atomic<bool> done{false};
-  std::vector<std::thread> aux;
-  for (int rdr = 0; rdr < 2; ++rdr) {
-    aux.emplace_back([&, rdr] {
-      Rng rng(static_cast<std::uint64_t>(1300 + rdr));
-      while (!done.load(std::memory_order_acquire)) {
-        const FileId f(static_cast<std::uint32_t>(
-            rng.next_below(mt.trace.file_count())));
-        const CorrelatorView view = miner->snapshot(f);
-        ASSERT_LE(view.size(), cfg.correlator_capacity);
-        for (std::size_t i = 0; i < view.size(); ++i) {
-          EXPECT_NE(view[i].file, f) << "self-correlation";
-          // Tenant isolation must hold mid-race: a snapshot never names a
-          // file from the other tenant's range.
-          EXPECT_EQ(view[i].file.value() < boundary, f.value() < boundary)
-              << "cross-tenant correlator surfaced";
-          if (i > 0) {
-            EXPECT_GE(view[i - 1].degree, view[i].degree)
-                << "snapshot not sorted";
-          }
-        }
-      }
-    });
-  }
-  aux.emplace_back([&] {  // barrier fan-out racing the producers
-    while (!done.load(std::memory_order_acquire)) {
-      miner->flush();
-      std::this_thread::yield();
-    }
-  });
-
-  testing::replay_partitioned(*miner, parts, /*chunk=*/32);
-  miner->flush();
-  done.store(true, std::memory_order_release);
-  for (auto& th : aux) th.join();
-
-  const MinerStats s = miner->stats();
-  EXPECT_EQ(s.requests, mt.trace.records.size());
-  EXPECT_EQ(s.pending, 0u);
-  ASSERT_EQ(s.per_tenant.size(), 2u);
-  for (const MinerStats& ts : s.per_tenant) EXPECT_GT(ts.requests, 0u);
 }
 
 // ------------------------------------------------------- LDA properties --
