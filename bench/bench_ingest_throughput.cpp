@@ -10,8 +10,7 @@
 //      from 1/2/4/8 producer threads (records partitioned by process,
 //      256-record batches), wall-clock throughput including the final
 //      flush(), with the synchronous "sharded" observe_batch() path as the
-//      0-producer baseline and a publish-coalescing variant showing fewer
-//      table swaps for the same stream.
+//      0-producer baseline.
 //   1b. Parallel apply lanes: the same chunked stream through the
 //      shard-disjoint worker pool behind observe_batch() at 1/2/4/8 apply
 //      lanes (FARMER_APPLY_THREADS), on both the sharded (caller-driven)
@@ -25,8 +24,7 @@
 //      the dirty-set scaling are measured side by side on identical state.
 //   3. Mixed ingest + N readers: 4 producers replay the trace while N
 //      reader threads hammer snapshot() on Zipf-distributed hot files,
-//      across the pre-RCU shared_mutex baseline, the RCU shard-table path
-//      and RCU + coalesced publishes.
+//      on the pre-RCU shared_mutex baseline and the RCU shard-table path.
 //   4. Durable persistence: steady-state ingest with the WAL + checkpoint
 //      pipeline enabled vs the no-persist baseline (sharded and concurrent
 //      paths), the cost of one full-model checkpoint save, and recovery
@@ -391,22 +389,6 @@ int main(int argc, char** argv) {
                     fmt_double(static_cast<double>(s.requests) / secs, 0),
                     std::to_string(s.publishes)});
   }
-  // Publish coalescing: same stream, same producers, one table swap per
-  // >= 8192 applied records (or the staleness deadline) instead of one per
-  // drain round.
-  {
-    MinerOptions coalesced = opts;
-    coalesced.ingest_threads = 4;
-    coalesced.publish_interval_records = 8192;
-    const auto miner = make_miner("concurrent", cfg, trace.dict, coalesced);
-    const auto parts = partition_by_process(trace, 4);
-    const double secs = concurrent_replay(*miner, parts);
-    const MinerStats s = miner->stats();
-    ingest.add_row({"4 (coalesced)", "concurrent",
-                    std::to_string(s.requests), fmt_double(secs, 3),
-                    fmt_double(static_cast<double>(s.requests) / secs, 0),
-                    std::to_string(s.publishes)});
-  }
   if (!json) ingest.print(std::cout);
 
   // ----------------------------------------------- parallel apply lanes --
@@ -524,18 +506,9 @@ int main(int argc, char** argv) {
     {
       MinerOptions rcu = opts;
       rcu.ingest_threads = kProducers;
-      rcu.publish_interval_records = 0;
       const auto miner = make_miner("concurrent", cfg, trace.dict, rcu);
       const MixedResult r = mixed_replay(*miner, parts, readers, file_count);
       add_mixed_row("RCU shard-table", readers, r);
-    }
-    {
-      MinerOptions coal = opts;
-      coal.ingest_threads = kProducers;
-      coal.publish_interval_records = 8192;
-      const auto miner = make_miner("concurrent", cfg, trace.dict, coal);
-      const MixedResult r = mixed_replay(*miner, parts, readers, file_count);
-      add_mixed_row("RCU + coalesced publish", readers, r);
     }
   }
 
@@ -775,10 +748,8 @@ int main(int argc, char** argv) {
                "machine's cores measure queueing, not mining. The mixed "
                "table fixes 4 producers and varies reader threads; "
                "\"shared_mutex (pre-RCU)\" reproduces the PR-2 drain-path "
-               "locking that the RCU shard-table replaced, and the "
-               "coalesced row trades publish frequency (bounded by "
-               "FARMER_PUBLISH_MAX_DELAY_MS staleness) for fewer table "
-               "swaps. The publish-cost table is the copy-on-write story: "
+               "locking that the RCU shard-table replaced. The "
+               "publish-cost table is the copy-on-write story: "
                "the deep-copy column scales with the whole shard, the COW "
                "column with the dirty set (ingest us carries the clone "
                "cost, paid once per touched file per publish window).\n";

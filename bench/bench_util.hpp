@@ -77,11 +77,6 @@ inline FarmerConfig fpa_config(const Trace& trace) {
 ///                                count, byte-identical at every setting)
 ///   FARMER_MAX_PENDING=<n>      (default backend, "concurrent" ingest
 ///                                backpressure bound in records)
-///   FARMER_PUBLISH_INTERVAL=<n> (default 0/1 = publish every drain round,
-///                                "concurrent" publish-coalescing interval
-///                                in applied records)
-///   FARMER_PUBLISH_MAX_DELAY_MS=<n> (default backend = 4 ms, staleness
-///                                bound for coalesced publishes)
 ///   FARMER_PERSIST_DIR=<path>   (default off: durable persistence
 ///                                directory — WAL + checkpoints, recovered
 ///                                on construction; benches add a per-trace

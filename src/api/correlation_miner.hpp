@@ -60,10 +60,9 @@ struct MinerStats {
   std::uint64_t pending = 0; ///< records accepted but not yet published —
                              ///< invisible to queries (async backends;
                              ///< always 0 after flush())
-  std::uint64_t publishes = 0;  ///< shard-table publications; with publish
-                                ///< coalescing one publication can cover
-                                ///< many drain rounds (== epoch on the
-                                ///< concurrent backend, 0 = synchronous)
+  std::uint64_t publishes = 0;  ///< shard-table publications, one per drain
+                                ///< round (== epoch on the concurrent
+                                ///< backend, 0 = synchronous)
   std::uint64_t files_cloned = 0;  ///< COW blocks copied because a published
                                    ///< snapshot still shared them, cumulative
                                    ///< over all publishes (async backends).

@@ -1,11 +1,12 @@
 #include "api/miner_factory.hpp"
 
-#include <map>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/name_table.hpp"
 #include "core/concurrent_farmer.hpp"
 #include "core/farmer.hpp"
 #include "core/sharded_farmer.hpp"
@@ -53,98 +54,83 @@ persist::Options persist_options(const MinerOptions& opts) {
   return p;
 }
 
-using Registry = std::map<std::string, MinerFactoryFn, std::less<>>;
+using Build = std::unique_ptr<CorrelationMiner> (*)(
+    const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
+    const MinerOptions& opts);
 
-Registry& registry() {
-  static Registry r = [] {
-    Registry built_in;
+// Adding a backend means adding a row here. Each must honor the
+// CorrelationMiner contracts (correlation_miner.hpp): flush() is a real
+// ingest barrier on asynchronous backends, and stats() follows the
+// MinerStats field contract.
+const NameTable<Build>& backends() {
+  static const NameTable<Build> table("backend", {
     // Synchronous backends become durable by decoration: the factory knows
     // the concrete types, so it hands DurableMiner the Farmer shard view
     // the checkpoint serializer needs. Recovery runs inside the decorator's
     // constructor, before the miner is returned.
-    built_in["farmer"] = [](const FarmerConfig& cfg,
-                            std::shared_ptr<const TraceDictionary> dict,
-                            const MinerOptions& opts)
-        -> std::unique_ptr<CorrelationMiner> {
-      auto miner = std::make_unique<Farmer>(cfg, dict);
-      if (opts.persist_dir.empty()) return miner;
-      std::vector<Farmer*> view{miner.get()};
-      return std::make_unique<persist::DurableMiner>(
-          std::move(miner), std::move(view), cfg, std::move(dict),
-          persist_options(opts));
-    };
-    built_in["sharded"] = [](const FarmerConfig& cfg,
-                             std::shared_ptr<const TraceDictionary> dict,
-                             const MinerOptions& opts)
-        -> std::unique_ptr<CorrelationMiner> {
-      auto miner = std::make_unique<ShardedFarmer>(cfg, dict, opts.shards,
-                                                   opts.apply_threads);
-      if (opts.persist_dir.empty()) return miner;
-      std::vector<Farmer*> view;
-      view.reserve(miner->shard_count());
-      for (std::size_t s = 0; s < miner->shard_count(); ++s)
-        view.push_back(&miner->shard_mut(s));
-      // Checkpoint cuts serialize the shards on the existing apply lanes.
-      persist::ShardRunner lanes =
-          [sharded = miner.get()](
-              const std::function<void(std::size_t)>& body) {
-            sharded->run_per_shard(body);
-          };
-      return std::make_unique<persist::DurableMiner>(
-          std::move(miner), std::move(view), cfg, std::move(dict),
-          persist_options(opts), std::move(lanes));
-    };
-    built_in["nexus"] = [](const FarmerConfig& cfg,
-                           std::shared_ptr<const TraceDictionary> dict,
-                           const MinerOptions& opts)
-        -> std::unique_ptr<CorrelationMiner> {
-      auto miner = std::make_unique<NexusMiner>(cfg, dict);
-      if (opts.persist_dir.empty()) return miner;
-      std::vector<Farmer*> view{miner.get()};
-      return std::make_unique<persist::DurableMiner>(
-          std::move(miner), std::move(view), cfg, std::move(dict),
-          persist_options(opts));
-    };
-    built_in["concurrent"] = [](const FarmerConfig& cfg,
-                                std::shared_ptr<const TraceDictionary> dict,
-                                const MinerOptions& opts) {
-      // max_pending / publish_max_delay_ms == 0 mean "backend default"; the
-      // constructor resolves them so direct and factory construction cannot
-      // diverge. Durability is embedded, not decorated: the WAL hooks must
-      // live on the drain thread and the checkpoints off the published COW
-      // snapshots (see ConcurrentFarmer).
-      std::unique_ptr<persist::Persister> persister;
-      if (!opts.persist_dir.empty())
-        persister =
-            std::make_unique<persist::Persister>(persist_options(opts));
-      return std::make_unique<ConcurrentFarmer>(cfg, std::move(dict),
-                                                opts.shards,
-                                                opts.ingest_threads,
-                                                opts.max_pending,
-                                                opts.publish_interval_records,
-                                                opts.publish_max_delay_ms,
-                                                std::move(persister),
-                                                opts.apply_threads);
-    };
-    return built_in;
-  }();
-  return r;
+    {"farmer",
+     [](const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
+        const MinerOptions& opts) -> std::unique_ptr<CorrelationMiner> {
+       auto miner = std::make_unique<Farmer>(cfg, dict);
+       if (opts.persist_dir.empty()) return miner;
+       std::vector<Farmer*> view{miner.get()};
+       return std::make_unique<persist::DurableMiner>(
+           std::move(miner), std::move(view), cfg, std::move(dict),
+           persist_options(opts));
+     }},
+    {"sharded",
+     [](const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
+        const MinerOptions& opts) -> std::unique_ptr<CorrelationMiner> {
+       auto miner = std::make_unique<ShardedFarmer>(cfg, dict, opts.shards,
+                                                    opts.apply_threads);
+       if (opts.persist_dir.empty()) return miner;
+       std::vector<Farmer*> view;
+       view.reserve(miner->shard_count());
+       for (std::size_t s = 0; s < miner->shard_count(); ++s)
+         view.push_back(&miner->shard_mut(s));
+       // Checkpoint cuts serialize the shards on the existing apply lanes.
+       persist::ShardRunner lanes =
+           [sharded = miner.get()](
+               const std::function<void(std::size_t)>& body) {
+             sharded->run_per_shard(body);
+           };
+       return std::make_unique<persist::DurableMiner>(
+           std::move(miner), std::move(view), cfg, std::move(dict),
+           persist_options(opts), std::move(lanes));
+     }},
+    {"nexus",
+     [](const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
+        const MinerOptions& opts) -> std::unique_ptr<CorrelationMiner> {
+       auto miner = std::make_unique<NexusMiner>(cfg, dict);
+       if (opts.persist_dir.empty()) return miner;
+       std::vector<Farmer*> view{miner.get()};
+       return std::make_unique<persist::DurableMiner>(
+           std::move(miner), std::move(view), cfg, std::move(dict),
+           persist_options(opts));
+     }},
+    {"concurrent",
+     [](const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
+        const MinerOptions& opts) -> std::unique_ptr<CorrelationMiner> {
+       // max_pending == 0 means "backend default"; the constructor resolves
+       // it so direct and factory construction cannot diverge. Durability
+       // is embedded, not decorated: the WAL hooks must live on the drain
+       // thread and the checkpoints off the published COW snapshots (see
+       // ConcurrentFarmer).
+       std::unique_ptr<persist::Persister> persister;
+       if (!opts.persist_dir.empty())
+         persister =
+             std::make_unique<persist::Persister>(persist_options(opts));
+       return std::make_unique<ConcurrentFarmer>(
+           cfg, std::move(dict), opts.shards, opts.ingest_threads,
+           opts.max_pending, std::move(persister), opts.apply_threads);
+     }},
+  });
+  return table;
 }
 
 }  // namespace
 
-bool register_miner(const std::string& name, MinerFactoryFn factory) {
-  auto [it, inserted] = registry().insert_or_assign(name, std::move(factory));
-  (void)it;
-  return inserted;
-}
-
-std::vector<std::string> registered_miners() {
-  std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [name, fn] : registry()) names.push_back(name);
-  return names;
-}
+std::vector<std::string> registered_miners() { return backends().names(); }
 
 std::unique_ptr<CorrelationMiner> make_miner(
     std::string_view name, const FarmerConfig& cfg,
@@ -153,18 +139,7 @@ std::unique_ptr<CorrelationMiner> make_miner(
   if (!errors.empty())
     throw std::invalid_argument("make_miner: invalid FarmerConfig: " +
                                 errors);
-  const auto it = registry().find(name);
-  if (it == registry().end()) {
-    std::string known;
-    for (const auto& n : registered_miners()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    throw std::invalid_argument("make_miner: unknown backend \"" +
-                                std::string(name) + "\" (registered: " +
-                                known + ")");
-  }
-  return it->second(cfg, std::move(dict), opts);
+  return backends().at(name)(cfg, std::move(dict), opts);
 }
 
 }  // namespace farmer

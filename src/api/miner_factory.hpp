@@ -4,12 +4,12 @@
 // opts)` turns the backend choice into data: benches flip ablations
 // (Table 2/3, Fig. 3/6) with a string flag instead of a recompiled type.
 //
-// The configuration is validated (FarmerConfig::validate) before any
-// backend is constructed; a bad config or an unknown backend name throws
-// std::invalid_argument naming the problem and the registered backends.
+// The backends are a fixed table in miner_factory.cpp. The configuration is
+// validated (FarmerConfig::validate) before any backend is constructed; a
+// bad config or an unknown backend name throws std::invalid_argument naming
+// the problem and the registered backends.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -40,20 +40,6 @@ struct MinerOptions {
   /// Backpressure bound for the "concurrent" backend: producers soft-block
   /// once this many records are queued but unapplied. 0 = backend default.
   std::size_t max_pending = 0;
-  /// Publish coalescing for the "concurrent" backend: the drain batches
-  /// apply rounds and publishes a new shard table only once at least this
-  /// many records have been applied since the last publication, or the
-  /// staleness deadline below expires. flush() stays a strict barrier: a
-  /// waiting flush forces the publish as soon as the queues run dry.
-  /// 0 or 1 = publish after every apply round (the uncoalesced reference
-  /// behavior). Env: FARMER_PUBLISH_INTERVAL.
-  std::size_t publish_interval_records = 0;
-  /// Staleness bound for coalesced publishes, in milliseconds: applied
-  /// records become queryable at most this much later (plus scheduling),
-  /// busy or idle, even when the record interval has not been reached.
-  /// Only meaningful with publish_interval_records > 1; 0 = backend
-  /// default (4 ms). Env: FARMER_PUBLISH_MAX_DELAY_MS.
-  std::size_t publish_max_delay_ms = 0;
   /// Durable persistence directory (empty = persistence off). When set,
   /// every ingested record is WAL-appended before it is applied, the model
   /// is checkpointed into the directory on the interval below, and
@@ -72,27 +58,6 @@ struct MinerOptions {
   /// Env: FARMER_WAL_GROUP_COMMIT.
   std::size_t wal_group_commit = 0;
 };
-
-using MinerFactoryFn = std::function<std::unique_ptr<CorrelationMiner>(
-    const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
-    const MinerOptions& opts)>;
-
-/// Adds (or replaces) a backend under `name`. Returns true when `name` was
-/// new. Built-ins "farmer", "sharded", "concurrent" and "nexus" are
-/// pre-registered. This is the extension seam for new backends — see
-/// docs/ARCHITECTURE.md.
-///
-/// A registered factory must return miners honoring the CorrelationMiner
-/// contracts (correlation_miner.hpp): in particular flush() must be a real
-/// ingest barrier on asynchronous backends, and stats() must follow the
-/// MinerStats field contract (zero epoch/pending counters and empty
-/// shard_epochs when the concept does not apply).
-///
-/// Thread-safety: registration is NOT synchronized against concurrent
-/// make_miner()/registered_miners() calls — register backends at startup,
-/// before mining threads exist (the registry is touched from one thread in
-/// every shipped consumer).
-bool register_miner(const std::string& name, MinerFactoryFn factory);
 
 /// Registered backend names, sorted.
 [[nodiscard]] std::vector<std::string> registered_miners();

@@ -7,8 +7,8 @@
 // `RuntimeConfig::from_env()` produces validated `MinerOptions`,
 // `PredictorOptions` and scenario knobs in one pass, and a malformed
 // variable surfaces as a *typed* `ConfigError` naming the variable, the
-// raw value and the constraint it violated — a typo can never silently
-// select the default.
+// raw value and the constraint it violated. So does any FARMER_* name the
+// loader does not know — a typo can never silently select the default.
 //
 // Consumers that want the classic CLI behavior (print the diagnostic,
 // exit 2) call `from_env_or_exit()`; programmatic consumers catch
@@ -52,10 +52,8 @@ struct RuntimeConfig {
   /// FARMER_MINER: mining backend name resolved through the MinerFactory.
   std::string miner_backend = "farmer";
   /// FARMER_SHARDS / FARMER_INGEST_THREADS / FARMER_APPLY_THREADS /
-  /// FARMER_MAX_PENDING / FARMER_PUBLISH_INTERVAL /
-  /// FARMER_PUBLISH_MAX_DELAY_MS / FARMER_PERSIST_DIR /
-  /// FARMER_CHECKPOINT_INTERVAL / FARMER_WAL_GROUP_COMMIT — see
-  /// MinerOptions field docs.
+  /// FARMER_MAX_PENDING / FARMER_PERSIST_DIR / FARMER_CHECKPOINT_INTERVAL /
+  /// FARMER_WAL_GROUP_COMMIT — see MinerOptions field docs.
   MinerOptions miner;
   /// FARMER_PREDICTOR: prefetch policy name resolved through the
   /// PredictorFactory ("fpa", "nexus", ..., "none").
@@ -85,7 +83,8 @@ struct RuntimeConfig {
   std::size_t trace_rounds = 1;
 
   /// Parses the process environment. Throws ConfigError on the first
-  /// malformed variable; unset variables keep the documented defaults.
+  /// malformed variable or unknown FARMER_* name; unset and empty variables
+  /// keep the documented defaults.
   [[nodiscard]] static RuntimeConfig from_env();
 
   /// from_env() with the classic CLI contract: on ConfigError, print the

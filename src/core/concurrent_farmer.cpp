@@ -1,6 +1,7 @@
 #include "core/concurrent_farmer.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <functional>
 #include <iterator>
 #include <stdexcept>
@@ -33,8 +34,6 @@ ConcurrentFarmer::ConcurrentFarmer(FarmerConfig cfg,
                                    std::size_t shards,
                                    std::size_t ingest_queues,
                                    std::size_t max_pending,
-                                   std::size_t publish_interval_records,
-                                   std::size_t publish_max_delay_ms,
                                    std::unique_ptr<persist::Persister> persister,
                                    std::size_t apply_threads)
     : cfg_(cfg),
@@ -43,12 +42,6 @@ ConcurrentFarmer::ConcurrentFarmer(FarmerConfig cfg,
                                              apply_threads)),
       correlator_capacity_(cfg_.correlator_capacity),
       max_pending_(max_pending == 0 ? kDefaultMaxPending : max_pending),
-      publish_interval_(publish_interval_records),
-      publish_max_delay_(publish_max_delay_ms == 0
-                             ? std::chrono::steady_clock::duration(
-                                   kDefaultPublishMaxDelay)
-                             : std::chrono::milliseconds(
-                                   publish_max_delay_ms)),
       persister_(std::move(persister)) {
   const std::size_t slots = ingest_queues == 0 ? 1 : ingest_queues;
   queues_.reserve(slots);
@@ -57,7 +50,6 @@ ConcurrentFarmer::ConcurrentFarmer(FarmerConfig cfg,
 
   touched_since_publish_.assign(inner_->shard_count(), 0);
   publish_baseline_.assign(inner_->shard_count(), {0, 0});
-  last_publish_ = std::chrono::steady_clock::now();
 
   if (persister_) {
     // Recover the persist directory into the live miner before the epoch-0
@@ -120,7 +112,6 @@ void ConcurrentFarmer::republish_all_shards() {
   std::fill(touched_since_publish_.begin(), touched_since_publish_.end(),
             std::uint8_t{0});
   table_.store(std::move(next));
-  last_publish_ = std::chrono::steady_clock::now();
 }
 
 std::size_t ConcurrentFarmer::slot_of_this_thread() const noexcept {
@@ -135,9 +126,7 @@ void ConcurrentFarmer::enqueue(Batch batch) {
   // Yield-spin rather than lock so the fast path stays lock-free. A batch
   // larger than max_pending_ is admitted once the drain has fully caught up
   // (queued_ == 0) — blocking it outright could never unblock — so the
-  // bound is max(max_pending_, largest single batch). The bound covers
-  // queue memory only: records the drain already applied but has not yet
-  // published (coalescing backlog) live inside the miner, not the queues.
+  // bound is max(max_pending_, largest single batch).
   while (true) {
     const std::size_t queued = queued_.load(std::memory_order_acquire);
     if (queued == 0 || queued + n <= max_pending_ ||
@@ -170,19 +159,14 @@ void ConcurrentFarmer::observe_batch(std::span<const TraceRecord> records) {
 
 void ConcurrentFarmer::flush() {
   const std::uint64_t target = enqueued_total_.load(std::memory_order_acquire);
-  // Announce the waiter first: a drain holding a coalesced backlog must
-  // publish for us even when the record interval has not been reached.
-  flush_waiters_.fetch_add(1, std::memory_order_release);
   {
     std::unique_lock<std::mutex> lk(wake_mu_);
-    wake_cv_.notify_one();
     // published_total_ is bumped only *after* the table swap, so reaching
     // the target proves the published table reflects every accepted record.
     drained_cv_.wait(lk, [&] {
       return published_total_.load(std::memory_order_acquire) >= target;
     });
   }
-  flush_waiters_.fetch_sub(1, std::memory_order_release);
   if (persister_) persister_->check();
 }
 
@@ -199,16 +183,7 @@ std::size_t ConcurrentFarmer::collect(Batch& into) {
   return total;
 }
 
-bool ConcurrentFarmer::publish_due() const {
-  if (publish_interval_ <= 1 || unpublished_ >= publish_interval_)
-    return true;
-  return std::chrono::steady_clock::now() - last_publish_ >=
-         publish_max_delay_;
-}
-
-void ConcurrentFarmer::publish_pending() {
-  if (unpublished_ == 0) return;
-
+void ConcurrentFarmer::publish(std::size_t records) {
   const std::shared_ptr<const ShardTable> cur = table_.load();
   auto next = std::make_shared<ShardTable>();
   next->shards = cur->shards;
@@ -220,7 +195,7 @@ void ConcurrentFarmer::publish_pending() {
     // harvest the count).
     files_cloned += inner_->shard(s).cow_clones();
     if (!touched_since_publish_[s]) continue;
-    // COW export: O(pages) pointer copies; the blocks this window dirtied
+    // COW export: O(pages) pointer copies; the blocks this round dirtied
     // were already cloned by the live side at write time. Everything the
     // mutation deltas did NOT touch is structurally shared — account it.
     const auto acct = inner_->shard_cow_accounting(s);
@@ -243,14 +218,12 @@ void ConcurrentFarmer::publish_pending() {
   next->stats.files_cloned = files_cloned;
   next->stats.bytes_shared = bytes_shared_total_;
   table_.store(std::move(next));
-  last_publish_ = std::chrono::steady_clock::now();
 
   // Counter order matters: published_total_ (the flush() predicate) and
   // pending_ shrink only after the swap, so neither flush() nor stats()
   // can observe "published" records that are not yet queryable.
-  pending_.fetch_sub(unpublished_, std::memory_order_release);
-  published_total_.fetch_add(unpublished_, std::memory_order_release);
-  unpublished_ = 0;
+  pending_.fetch_sub(records, std::memory_order_release);
+  published_total_.fetch_add(records, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lk(wake_mu_);
     drained_cv_.notify_all();
@@ -291,25 +264,19 @@ void ConcurrentFarmer::apply(const Batch& batch) {
     }
   }
   // The drain owns inner_ exclusively: no lock is needed to mutate it, and
-  // readers only ever see the immutable table published by
-  // publish_pending(). observe_batch is the shard-disjoint parallel apply:
-  // with apply_threads > 1 the drain thread becomes one lane of the inner
-  // miner's worker pool and the batch is applied shard-concurrently —
-  // byte-identical to the old serial replay because per-shard record order
-  // is preserved and shards share no mutable state.
+  // readers only ever see the immutable table published below.
+  // observe_batch is the shard-disjoint parallel apply: with
+  // apply_threads > 1 the drain thread becomes one lane of the inner miner's
+  // worker pool and the batch is applied shard-concurrently — byte-identical
+  // to the old serial replay because per-shard record order is preserved
+  // and shards share no mutable state.
   inner_->observe_batch(batch);
   for (const TraceRecord& r : batch)
     touched_since_publish_[inner_->shard_of(r)] = 1;
-  unpublished_ += batch.size();
   // Queue memory is released as soon as the records are applied; visibility
   // (pending_) waits for the publish.
   queued_.fetch_sub(batch.size(), std::memory_order_release);
-  // A waiting flush() overrides the coalescing interval here too — under
-  // sustained ingest the queues may never run dry, and the barrier must
-  // not stall until the staleness deadline when its records are already
-  // applied.
-  if (publish_due() || flush_waiters_.load(std::memory_order_acquire) > 0)
-    publish_pending();
+  publish(batch.size());
 }
 
 void ConcurrentFarmer::drain_loop() {
@@ -321,14 +288,6 @@ void ConcurrentFarmer::drain_loop() {
       apply(buf);
       continue;
     }
-    // Queues are dry. A coalesced backlog is held back until the record
-    // interval fills, but never past the staleness deadline — and a
-    // waiting flush() overrides the interval entirely, so the barrier
-    // completes as soon as the queues empty.
-    if (unpublished_ > 0 &&
-        (publish_due() ||
-         flush_waiters_.load(std::memory_order_acquire) > 0))
-      publish_pending();
     if (stop_.load(std::memory_order_acquire)) break;
     if (queued_.load(std::memory_order_acquire) > 0) {
       // A push is mid-flight in the MPSC visibility window; retry shortly.
@@ -339,13 +298,10 @@ void ConcurrentFarmer::drain_loop() {
     drain_idle_.store(true, std::memory_order_release);
     // Timed wait: the idle-flag handshake has a benign race (a producer can
     // read drain_idle_ == false just before we set it); the predicate plus
-    // the timeout make a lost notify cost at most one period, never a hang
-    // — and the period doubles as the backlog's deadline-poll granularity.
+    // the timeout make a lost notify cost at most one period, never a hang.
     wake_cv_.wait_for(lk, 1ms, [&] {
       return stop_.load(std::memory_order_acquire) ||
-             queued_.load(std::memory_order_acquire) > 0 ||
-             (unpublished_ > 0 &&
-              flush_waiters_.load(std::memory_order_acquire) > 0);
+             queued_.load(std::memory_order_acquire) > 0;
     });
     drain_idle_.store(false, std::memory_order_release);
   }
@@ -355,7 +311,6 @@ void ConcurrentFarmer::drain_loop() {
     if (collect(buf) == 0) break;
     apply(buf);
   }
-  publish_pending();
 }
 
 CorrelatorView ConcurrentFarmer::snapshot(FileId f) const {

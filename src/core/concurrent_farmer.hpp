@@ -6,7 +6,6 @@
 //   producers ──push──▶ per-slot MpscQueues ──drain thread──▶ ShardedFarmer
 //                                                 │ COW shard snapshot export
 //   readers ◀── RCU shard-table (atomic shared_ptr swap) ◀── publish
-//                                                 (coalesced across rounds)
 //
 // * Ingest is lock-free for callers: `observe()`/`observe_batch()` route to
 //   one of `ingest_queues` MPSC queues (slot = hash of the calling thread)
@@ -15,27 +14,17 @@
 //   cross-thread interleaving is whatever the drain observes — the standard
 //   relaxed guarantee of a concurrent ingest path.
 // * The live ShardedFarmer is owned *exclusively* by the drain thread —
-//   no query ever touches it. After applying batches the drain exports an
-//   immutable *copy-on-write* snapshot of every shard touched since the
-//   last publication (Farmer's CowShare constructor: per-file blocks are
-//   structurally shared; only files the round dirtied were cloned, by the
-//   live side, at write time) and publishes a new `ShardTable` — the
-//   shared_ptr array of current shard snapshots plus per-shard publish
-//   epochs — with one atomic shared_ptr swap. This is RCU: readers load
-//   the table pointer (acquire), query immutable state, and drop their
-//   reference; reclamation is shared_ptr reference counting. Readers never
-//   take a lock and never retry; writers never wait for readers. Publish
-//   cost is O(dirty files) + O(pages), not O(shard state).
-// * Publication is *coalesced* under load: with
-//   `publish_interval_records` > 1 the drain batches apply rounds and swaps
-//   a new table only when that many records have been applied since the
-//   last swap or the `publish_max_delay` staleness deadline expires —
-//   including while idle, where the timed idle wait doubles as the
-//   deadline poll, so applied state is never stale past the deadline.
-//   Between publishes queries simply read the previous table. flush() is
-//   unaffected: a waiting flush overrides the interval and forces the
-//   publish as soon as the queues run dry, so it still returns only after
-//   a publish covering every accepted record.
+//   no query ever touches it. After every apply round the drain exports an
+//   immutable *copy-on-write* snapshot of every shard the round touched
+//   (Farmer's CowShare constructor: per-file blocks are structurally
+//   shared; only files the round dirtied were cloned, by the live side, at
+//   write time) and publishes a new `ShardTable` — the shared_ptr array of
+//   current shard snapshots plus per-shard publish epochs — with one atomic
+//   shared_ptr swap. This is RCU: readers load the table pointer (acquire),
+//   query immutable state, and drop their reference; reclamation is
+//   shared_ptr reference counting. Readers never take a lock and never
+//   retry; writers never wait for readers. Publish cost is O(dirty files) +
+//   O(pages), not O(shard state).
 // * Queries merge the per-shard snapshot lists with the *same* static
 //   helpers ShardedFarmer uses live (merged_correlators & friends), which
 //   is what keeps flush()-then-query byte-identical to the "sharded"
@@ -46,8 +35,7 @@
 // is what makes the backend differentially testable — a single-threaded
 // replay followed by flush() is byte-identical to the synchronous "sharded"
 // backend, because each queue preserves FIFO order and shard state only
-// depends on the per-shard record order (coalescing changes when tables
-// appear, never what the final table contains).
+// depends on the per-shard record order.
 //
 // Memory is bounded by `max_pending`: producers soft-block (yield-spin) once
 // that many records are queued but not yet applied, so a stalled drain
@@ -61,7 +49,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -88,8 +75,6 @@ class ConcurrentFarmer final : public CorrelationMiner {
  public:
   /// Producers blocked beyond this many queued-but-unapplied records.
   static constexpr std::size_t kDefaultMaxPending = std::size_t{1} << 20;
-  /// Staleness deadline for coalesced publishes when none is configured.
-  static constexpr std::chrono::milliseconds kDefaultPublishMaxDelay{4};
 
   /// `persister`, when non-null, makes the backend durable: construction
   /// recovers the persist directory into the live miner before the epoch-0
@@ -113,8 +98,6 @@ class ConcurrentFarmer final : public CorrelationMiner {
                    std::shared_ptr<const TraceDictionary> dict,
                    std::size_t shards, std::size_t ingest_queues,
                    std::size_t max_pending = kDefaultMaxPending,
-                   std::size_t publish_interval_records = 0,
-                   std::size_t publish_max_delay_ms = 0,
                    std::unique_ptr<persist::Persister> persister = nullptr,
                    std::size_t apply_threads = 0);
   ~ConcurrentFarmer() override;
@@ -125,7 +108,7 @@ class ConcurrentFarmer final : public CorrelationMiner {
   /// Lock-free enqueue of one record (one MPSC push); applied
   /// asynchronously. Pays a one-element batch + queue-node allocation per
   /// record — throughput-sensitive producers should use observe_batch();
-  /// coalescing in a thread-local buffer here would break the flush()
+  /// batching in a thread-local buffer here would break the flush()
   /// contract (records parked in another thread's buffer would be accepted
   /// yet invisible to the barrier).
   void observe(const TraceRecord& rec) override;
@@ -136,9 +119,6 @@ class ConcurrentFarmer final : public CorrelationMiner {
 
   /// Blocks until everything accepted before the call has been applied and
   /// published; afterwards every query answers from state that includes it.
-  /// Coalescing never weakens this barrier: while a flush() waits, the
-  /// drain publishes after every apply round and again the moment the
-  /// queues run dry, interval or not.
   void flush() override;
 
   /// Owning snapshot of `f`'s merged Correlator List at the current epoch.
@@ -212,14 +192,12 @@ class ConcurrentFarmer final : public CorrelationMiner {
   /// Pops every visible batch from every queue into one apply buffer,
   /// preserving per-queue order. Returns the number of records collected.
   std::size_t collect(Batch& into);
+  /// Applies `batch` to the live miner, then publishes it.
   void apply(const Batch& batch);
-  /// True when the coalescing policy says the applied-but-unpublished
-  /// backlog must be published now (interval reached or deadline expired).
-  [[nodiscard]] bool publish_due() const;
-  /// Publishes the backlog: exports COW snapshots of every shard touched
-  /// since the last publish, swaps the table, releases flush() waiters.
-  /// No-op when nothing is unpublished.
-  void publish_pending();
+  /// Publishes `records` just-applied records: exports COW snapshots of
+  /// every shard touched since the last publish, swaps the table, releases
+  /// flush() waiters.
+  void publish(std::size_t records);
   /// Drain-side checkpoint initiation: when the persister says one is due
   /// and its writer is idle, rotate the WAL (cheap, synchronous — at this
   /// point appended == applied == published) and hand the current table's
@@ -248,8 +226,6 @@ class ConcurrentFarmer final : public CorrelationMiner {
   const std::size_t correlator_capacity_;
   std::vector<std::unique_ptr<MpscQueue<Batch>>> queues_;
   const std::size_t max_pending_;
-  const std::size_t publish_interval_;
-  const std::chrono::steady_clock::duration publish_max_delay_;
 
   /// RCU head: swapped (release) by the drain at every publish,
   /// loaded (acquire) by every query.
@@ -267,18 +243,12 @@ class ConcurrentFarmer final : public CorrelationMiner {
   std::atomic<std::size_t> queued_{0};
   std::atomic<std::uint64_t> enqueued_total_{0};
   std::atomic<std::uint64_t> published_total_{0};
-  /// Threads currently inside flush(): a nonzero count makes the drain
-  /// publish after every apply round and on dry queues, interval or not —
-  /// flush() is a strict barrier, coalescing only shapes steady state.
-  std::atomic<std::uint32_t> flush_waiters_{0};
   std::atomic<bool> stop_{false};
   std::atomic<bool> drain_idle_{false};
 
   // Drain-thread-local publish state (touched only by the drain after
-  // construction): the coalescing backlog and the COW accounting baseline.
+  // construction): the shards to republish and the COW accounting baseline.
   std::vector<std::uint8_t> touched_since_publish_;
-  std::size_t unpublished_ = 0;
-  std::chrono::steady_clock::time_point last_publish_;
   /// Per shard, per store ([0] graph nodes, [1] semantic state): cumulative
   /// COW mutations at this shard's previous publish — the delta is the
   /// blocks the round actually copied, everything else was shared.

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numbers>
 #include <stdexcept>
 #include <utility>
 
+#include "common/name_table.hpp"
 #include "trace/generator.hpp"
 
 namespace farmer {
@@ -52,8 +52,6 @@ std::string ScenarioSpec::validate() const {
 
 namespace {
 
-using Registry = std::map<std::string, ScenarioSpec, std::less<>>;
-
 ScenarioSpec builtin(std::string name, std::string description) {
   ScenarioSpec s;
   s.name = std::move(name);
@@ -61,10 +59,13 @@ ScenarioSpec builtin(std::string name, std::string description) {
   return s;
 }
 
-Registry& registry() {
-  static Registry reg = [] {
-    Registry r;
-    const auto put = [&r](ScenarioSpec s) { r.emplace(s.name, std::move(s)); };
+const NameTable<ScenarioSpec>& scenarios() {
+  static const NameTable<ScenarioSpec> table("scenario", [] {
+    std::vector<NameTable<ScenarioSpec>::Row> r;
+    const auto put = [&r](ScenarioSpec s) {
+      std::string name = s.name;
+      r.emplace_back(std::move(name), std::move(s));
+    };
     {
       ScenarioSpec s = builtin(
           "steady", "single INS tenant at the generator's native rate");
@@ -126,8 +127,8 @@ Registry& registry() {
       put(std::move(s));
     }
     return r;
-  }();
-  return reg;
+  }());
+  return table;
 }
 
 /// Monotone warp of a normalised arrival position u in [0, 1]. The arrival
@@ -167,26 +168,12 @@ double warp(const ScenarioSpec& spec, double u, std::uint32_t tenant) {
 
 }  // namespace
 
-bool register_scenario(ScenarioSpec spec) {
-  const std::string name = spec.name;
-  return registry().insert_or_assign(name, std::move(spec)).second;
-}
-
 std::vector<std::string> registered_scenarios() {
-  std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [name, spec] : registry()) names.push_back(name);
-  return names;
+  return scenarios().names();
 }
 
 ScenarioSpec scenario_spec(std::string_view name) {
-  const Registry& reg = registry();
-  if (const auto it = reg.find(name); it != reg.end()) return it->second;
-  std::string msg = "unknown scenario \"";
-  msg += name;
-  msg += "\"; registered:";
-  for (const auto& [known, spec] : reg) msg += " " + known;
-  throw std::invalid_argument(msg);
+  return scenarios().at(name);
 }
 
 ScenarioWorkload build_workload(const ScenarioSpec& spec) {

@@ -47,7 +47,7 @@ void MdsServer::handle_demand(const TraceRecord& rec, ResponseFn respond) {
     return;
   }
 
-  // Miss: coalesce with any in-flight fetch of the same file.
+  // Miss: join any in-flight fetch of the same file.
   auto it = inflight_.find(file);
   if (it != inflight_.end()) {
     ++duplicate_suppressed_;

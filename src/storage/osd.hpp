@@ -32,7 +32,7 @@ class Osd {
   /// single free extent fits.
   std::optional<Extent> allocate(std::uint64_t blocks);
 
-  /// Frees a previously allocated extent, coalescing neighbours.
+  /// Frees a previously allocated extent, merging it with free neighbours.
   void free_extent(Extent e);
 
   [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }

@@ -102,28 +102,18 @@ TEST(ConfigBuilder, ReportsEveryViolationAtOnce) {
 
 // --------------------------------------------------------------- factory --
 
-constexpr const char* kCustomBackend = "custom-test-backend";
-
-/// registered_miners() without the name CustomBackendsPlugIn registers for
-/// the rest of its process, so the built-in checks hold in any test order.
-std::vector<std::string> built_in_miners() {
-  std::vector<std::string> names = registered_miners();
-  std::erase(names, kCustomBackend);
-  return names;
-}
-
 // Exact, not a superset: a backend added or removed without updating this
 // list is drift.
 TEST(MinerFactory, BuiltInsAreRegistered) {
   const std::vector<std::string> expected = {"concurrent", "farmer", "nexus",
                                              "sharded"};
-  EXPECT_EQ(built_in_miners(), expected);
+  EXPECT_EQ(registered_miners(), expected);
 }
 
 TEST(MinerFactory, ConstructsEachBuiltInWithMatchingName) {
   MicroTrace mt;
   (void)mt.file("a", "/p/a");
-  for (const std::string& backend : built_in_miners()) {
+  for (const std::string& backend : registered_miners()) {
     const auto miner = make_miner(backend, FarmerConfig{}, mt.dict());
     ASSERT_NE(miner, nullptr);
     EXPECT_EQ(miner->name(), backend);
@@ -152,31 +142,6 @@ TEST(MinerFactory, InvalidConfigThrows) {
   bad.p = 7.0;
   EXPECT_THROW((void)make_miner("farmer", bad, mt.dict()),
                std::invalid_argument);
-}
-
-TEST(MinerFactory, CustomBackendsPlugIn) {
-  MicroTrace mt;
-  // The registry is process-global: under --gtest_repeat the name is
-  // already there from the previous iteration.
-  const std::vector<std::string> before = registered_miners();
-  const bool was_registered =
-      std::find(before.begin(), before.end(), kCustomBackend) != before.end();
-  const bool fresh = register_miner(
-      kCustomBackend,
-      [](const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
-         const MinerOptions&) -> std::unique_ptr<CorrelationMiner> {
-        return std::make_unique<Farmer>(cfg, std::move(dict));
-      });
-  EXPECT_EQ(fresh, !was_registered);
-  const auto miner = make_miner(kCustomBackend, FarmerConfig{}, mt.dict());
-  ASSERT_NE(miner, nullptr);
-  // Re-registering the same name replaces, not duplicates.
-  EXPECT_FALSE(register_miner(
-      kCustomBackend,
-      [](const FarmerConfig& cfg, std::shared_ptr<const TraceDictionary> dict,
-         const MinerOptions&) -> std::unique_ptr<CorrelationMiner> {
-        return std::make_unique<Farmer>(cfg, std::move(dict));
-      }));
 }
 
 TEST(MinerFactory, ShardOptionControlsShardCount) {
@@ -451,7 +416,7 @@ TEST(MinerStatsContract, ConcurrentReportsPerShardEpochs) {
   EXPECT_GE(max_shard, 1u);
   EXPECT_LE(max_shard, s.epoch);
   // Publish accounting is live on the async backend: every epoch is one
-  // table publication (with coalescing off by default they are identical).
+  // table publication.
   EXPECT_EQ(s.publishes, s.epoch);
 }
 

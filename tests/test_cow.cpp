@@ -2,10 +2,9 @@
 // primitive, Farmer/ShardedFarmer COW exports (old snapshots keep old
 // answers, untouched blocks stay pointer-identical), the memoized
 // footprint, Farmer::observe_batch, and the concurrent backend's publish
-// coalescing (differential byte-identity, flush barrier, publish stats).
+// path (flush barrier, publish stats).
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <memory>
 #include <span>
 #include <thread>
@@ -346,55 +345,15 @@ TEST(FarmerObserveBatch, EmptyBatchIsANoOp) {
   EXPECT_EQ(model.footprint_bytes(), footprint);
 }
 
-// --------------------------------------------------- publish coalescing --
+// ------------------------------------------------------ concurrent publish --
 
-TEST(PublishCoalescing, DifferentialByteIdentityStillHolds) {
-  const Trace t = make_paper_trace(TraceKind::kHP, 43, 0.02);
-  MinerOptions opts;
-  opts.shards = 4;
-  const auto sharded = make_miner("sharded", FarmerConfig{}, t.dict, opts);
-  MinerOptions coalesced = opts;
-  // Interval and deadline far out of reach: only flush() can trigger the
-  // publishes this test observes.
-  coalesced.publish_interval_records = 1 << 20;
-  coalesced.publish_max_delay_ms = 10000;
-  const auto concurrent =
-      make_miner("concurrent", FarmerConfig{}, t.dict, coalesced);
-
-  constexpr std::size_t kChunk = 64;
-  for (std::size_t i = 0; i < t.records.size(); i += kChunk) {
-    const std::size_t n = std::min(kChunk, t.records.size() - i);
-    concurrent->observe_batch(std::span<const TraceRecord>(&t.records[i], n));
-  }
-  sharded->observe_batch(t.records);
-  concurrent->flush();
-
-  for (std::uint32_t f = 0; f < t.file_count(); ++f) {
-    const auto ls = sharded->correlators(FileId(f));
-    const auto lc = concurrent->correlators(FileId(f));
-    ASSERT_EQ(ls.size(), lc.size()) << "file " << f;
-    for (std::size_t i = 0; i < ls.size(); ++i) {
-      EXPECT_EQ(ls[i].file, lc[i].file) << "file " << f << " slot " << i;
-      EXPECT_EQ(ls[i].degree, lc[i].degree) << "file " << f << " slot " << i;
-    }
-  }
-  const MinerStats sc = concurrent->stats();
-  EXPECT_EQ(sc.requests, t.records.size());
-  EXPECT_EQ(sc.pending, 0u);
-  EXPECT_EQ(sc.publishes, sc.epoch);
-  EXPECT_GE(sc.publishes, 1u);
-}
-
-TEST(PublishCoalescing, FlushIsAStrictBarrierDespiteHugeIntervals) {
-  // With an effectively infinite interval and deadline, the only publish
-  // triggers left are the dry-queue sweep and flush(); if either were
-  // broken this test would hang rather than fail.
+TEST(ConcurrentPublish, FlushIsAStrictBarrierDespiteHugeIntervals) {
+  // flush() must return only after a publish covering every accepted
+  // record; if the barrier were broken this test would hang rather than
+  // fail.
   const MicroTrace mt = correlated_trace();
   ConcurrentFarmer miner(FarmerConfig{}, mt.dict(), /*shards=*/2,
-                         /*ingest_queues=*/1,
-                         ConcurrentFarmer::kDefaultMaxPending,
-                         /*publish_interval_records=*/1u << 30,
-                         /*publish_max_delay_ms=*/60000);
+                         /*ingest_queues=*/1);
   miner.observe_batch(mt.records());
   miner.flush();
   EXPECT_EQ(miner.stats().requests, mt.records().size());
@@ -404,17 +363,13 @@ TEST(PublishCoalescing, FlushIsAStrictBarrierDespiteHugeIntervals) {
   EXPECT_GT(miner.access_count(FileId(0)), 0u);
 }
 
-TEST(PublishCoalescing, FlushCompletesWhileIngestNeverPauses) {
-  // Interval and deadline far out of reach while a producer keeps the
-  // queues busy: a waiting flush() must still be released promptly (the
-  // drain publishes per apply round for waiters) instead of stalling
-  // until the staleness deadline.
+TEST(ConcurrentPublish, FlushCompletesWhileIngestNeverPauses) {
+  // A producer keeps the queues busy: a waiting flush() must still be
+  // released promptly (the drain publishes after every apply round) instead
+  // of waiting for the queues to run dry.
   const Trace t = make_paper_trace(TraceKind::kHP, 47, 0.02);
   ConcurrentFarmer miner(FarmerConfig{}, t.dict, /*shards=*/2,
-                         /*ingest_queues=*/2,
-                         ConcurrentFarmer::kDefaultMaxPending,
-                         /*publish_interval_records=*/1u << 30,
-                         /*publish_max_delay_ms=*/60000);
+                         /*ingest_queues=*/2);
   // A fixed workload (not a stop-flag loop): on a single core the producer
   // might otherwise never be scheduled before the flushes return, leaving
   // nothing ingested and the assertions vacuous.
@@ -436,28 +391,7 @@ TEST(PublishCoalescing, FlushCompletesWhileIngestNeverPauses) {
   EXPECT_GE(miner.epoch(), 1u);
 }
 
-TEST(PublishCoalescing, IdleBacklogPublishesByStalenessDeadline) {
-  // Interval out of reach and no flush(): only the staleness deadline can
-  // surface the applied records. The drain's idle wait doubles as the
-  // deadline poll, so the epoch must advance within ~delay + scheduling.
-  const MicroTrace mt = correlated_trace();
-  ConcurrentFarmer miner(FarmerConfig{}, mt.dict(), /*shards=*/2,
-                         /*ingest_queues=*/1,
-                         ConcurrentFarmer::kDefaultMaxPending,
-                         /*publish_interval_records=*/1u << 30,
-                         /*publish_max_delay_ms=*/50);
-  miner.observe_batch(mt.records());
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (miner.epoch() == 0 && std::chrono::steady_clock::now() < give_up)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_GE(miner.epoch(), 1u) << "deadline publish never fired";
-  EXPECT_EQ(miner.stats().pending, 0u);
-  EXPECT_EQ(miner.stats().requests, mt.records().size());
-  EXPECT_GT(miner.access_count(FileId(0)), 0u);
-}
-
-TEST(PublishCoalescing, PublishStatsAccountCowSharing) {
+TEST(ConcurrentPublish, PublishStatsAccountCowSharing) {
   const MicroTrace mt = correlated_trace();
   MinerOptions opts;
   opts.shards = 2;
@@ -481,7 +415,7 @@ TEST(PublishCoalescing, PublishStatsAccountCowSharing) {
   EXPECT_EQ(s.pending, 0u);
 }
 
-TEST(PublishCoalescing, SyncBackendsReportNoPublishActivity) {
+TEST(ConcurrentPublish, SyncBackendsReportNoPublishActivity) {
   const MicroTrace mt = correlated_trace();
   for (const char* backend : {"farmer", "sharded", "nexus"}) {
     const auto miner = make_miner(backend, FarmerConfig{}, mt.dict());

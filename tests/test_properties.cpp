@@ -302,64 +302,6 @@ TEST(ConcurrentMinerStress, SnapshotsConsistentWhileProducersIngest) {
   EXPECT_EQ(s.epoch, miner.epoch());
 }
 
-// Publish coalescing under racing producers and readers: with a short
-// record interval and a tight staleness deadline the drain keeps switching
-// between coalesced and deadline-forced publishes while readers validate
-// every snapshot invariant. COW sharing means each published table
-// structurally shares per-file blocks with its predecessors — a torn or
-// in-place-mutated shared block would surface here (and under the TSan CI
-// tier, which runs this via the ConcurrentMinerStress.* filter).
-TEST(ConcurrentMinerStress, CoalescedPublishesStayConsistent) {
-  const Trace& t = small_hp();
-  const FarmerConfig cfg;
-  constexpr std::size_t kProducers = 4;
-  ConcurrentFarmer miner(cfg, t.dict, /*shards=*/4,
-                         /*ingest_queues=*/kProducers,
-                         ConcurrentFarmer::kDefaultMaxPending,
-                         /*publish_interval_records=*/512,
-                         /*publish_max_delay_ms=*/1);
-
-  const auto parts = testing::partition_by_process(t.records, kProducers);
-
-  std::atomic<bool> done{false};
-  std::vector<std::thread> readers;
-  for (int rdr = 0; rdr < 2; ++rdr) {
-    readers.emplace_back([&, rdr] {
-      Rng rng(static_cast<std::uint64_t>(700 + rdr));
-      std::uint64_t last_epoch = 0;
-      while (!done.load(std::memory_order_acquire)) {
-        const FileId f(
-            static_cast<std::uint32_t>(rng.next_below(t.file_count())));
-        const EpochSnapshot snap = miner.epoch_snapshot(f);
-        EXPECT_GE(snap.epoch, last_epoch) << "epoch went backwards";
-        last_epoch = snap.epoch;
-        ASSERT_LE(snap.view.size(), cfg.correlator_capacity);
-        for (std::size_t i = 0; i < snap.view.size(); ++i) {
-          EXPECT_NE(snap.view[i].file, f) << "self-correlation";
-          EXPECT_GE(snap.view[i].degree,
-                    static_cast<float>(cfg.max_strength) - 1e-4f)
-              << "torn/filtered degree surfaced";
-          if (i > 0) {
-            EXPECT_GE(snap.view[i - 1].degree, snap.view[i].degree)
-                << "snapshot not sorted";
-          }
-        }
-      }
-    });
-  }
-
-  testing::replay_partitioned(miner, parts, /*chunk=*/32);
-  miner.flush();
-  done.store(true, std::memory_order_release);
-  for (auto& r : readers) r.join();
-
-  const MinerStats s = miner.stats();
-  EXPECT_EQ(s.requests, t.records.size());
-  EXPECT_EQ(s.pending, 0u);
-  EXPECT_GE(s.publishes, 1u);
-  EXPECT_EQ(s.publishes, s.epoch);
-}
-
 // An owning snapshot cut before further ingest must never change, and
 // flush() must be an effective barrier even when called repeatedly.
 TEST(ConcurrentMinerStress, SnapshotsAreImmutableAndFlushIsIdempotent) {
@@ -513,8 +455,6 @@ TEST(ParallelApplyStress, ConcurrentDrainWithWorkerLanesStaysConsistent) {
   ConcurrentFarmer miner(cfg, t.dict, /*shards=*/4,
                          /*ingest_queues=*/kProducers,
                          ConcurrentFarmer::kDefaultMaxPending,
-                         /*publish_interval_records=*/0,
-                         /*publish_max_delay_ms=*/0,
                          /*persister=*/nullptr,
                          /*apply_threads=*/4);
 

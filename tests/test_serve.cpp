@@ -364,22 +364,6 @@ TEST(PredictorFactoryErrors, InvalidOptionsRejected) {
   const FarmerConfig cfg = cfg_for(trace);
 
   PredictorOptions opts;
-  opts.window = 4096;  // above AccessWindow::kMaxWindow
-  EXPECT_THROW((void)make_predictor("nexus", cfg, trace.dict, opts),
-               std::invalid_argument);
-
-  opts = {};
-  opts.min_chance = 1.5;  // probability above 1
-  EXPECT_THROW((void)make_predictor("probgraph", cfg, trace.dict, opts),
-               std::invalid_argument);
-
-  opts = {};
-  opts.recent_k = 2;
-  opts.recent_j = 5;  // j > k
-  EXPECT_THROW((void)make_predictor("recentpop", cfg, trace.dict, opts),
-               std::invalid_argument);
-
-  opts = {};
   opts.miner_backend = "not_a_backend";
   EXPECT_THROW((void)make_predictor("fpa", cfg, trace.dict, opts),
                std::invalid_argument);
@@ -438,7 +422,7 @@ TEST(RuntimeConfigTest, DefaultsWithEmptyEnvironment) {
   EXPECT_EQ(rc.miner_backend, "farmer");
   EXPECT_EQ(rc.predictor, "fpa");
   EXPECT_DOUBLE_EQ(rc.bench_scale, 0.25);
-  EXPECT_TRUE(rc.predictor_options.validate().empty());
+  EXPECT_EQ(rc.predictor_options.miner_backend, "farmer");
 }
 
 TEST(RuntimeConfigTest, ParsesAndMirrorsIntoPredictorOptions) {
@@ -491,6 +475,26 @@ TEST(RuntimeConfigTest, RejectsZeroAndOutOfRange) {
     ScopedEnv bad("FARMER_SERVE_WINDOWS", "99999");
     EXPECT_THROW((void)RuntimeConfig::from_env(), ConfigError);
   }
+}
+
+TEST(RuntimeConfigTest, RejectsUnknownFarmerVariables) {
+  // A typo and a retired knob: both must fail loudly, never run defaults.
+  for (const char* unknown : {"FARMER_SHARD", "FARMER_PUBLISH_INTERVAL"}) {
+    ScopedEnv bad(unknown, "8");
+    try {
+      (void)RuntimeConfig::from_env();
+      ADD_FAILURE() << "expected ConfigError for " << unknown;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.var(), unknown);
+      EXPECT_EQ(e.value(), "8");
+      // The diagnostic lists the names the loader does parse.
+      EXPECT_NE(e.reason().find("FARMER_SHARDS"), std::string::npos)
+          << e.reason();
+    }
+  }
+  // Set-but-empty is treated like unset, as for the known variables.
+  ScopedEnv empty("FARMER_SHARD", "");
+  EXPECT_NO_THROW((void)RuntimeConfig::from_env());
 }
 
 // ----------------------------------------------------------------- stress

@@ -186,7 +186,7 @@ TEST(Osd, CoalescesAdjacentFreeExtents) {
   ASSERT_TRUE(a && b && c);
   osd.free_extent(*a);
   osd.free_extent(*c);
-  // c coalesces with the tail free region -> fragments: [a], [c..end].
+  // c merges with the tail free region -> fragments: [a], [c..end].
   EXPECT_EQ(osd.free_fragments(), 2u);
   osd.free_extent(*b);
   EXPECT_EQ(osd.free_fragments(), 1u);
